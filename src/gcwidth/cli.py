@@ -19,6 +19,7 @@ from pathlib import Path
 from . import families, thinness
 from .decomp import (
     SizeGuardError,
+    construction_bound,
     decompose_circular,
     decompose_convex,
     decompose_spider,
@@ -27,12 +28,20 @@ from .decomp import (
     decomposition_to_json,
     max_induced_matching_cut,
     mimw_oracle,
+    pthin_bound,
     simw_oracle,
-    spider_bound,
-    tdelta_bound,
+    thin_bound,
+    validate_decomposition,
     width_of,
 )
-from .graphs import BipartiteGraph, GraphFormatError, parse_graph, serialize_graph
+from .graphs import (
+    BipartiteGraph,
+    GraphFormatError,
+    parse_graph,
+    parse_vertex_token,
+    serialize_graph,
+    vertex_token,
+)
 from .supports import (
     recognize_circular,
     recognize_convex,
@@ -66,6 +75,15 @@ class RunReport:
         }
 
 
+class _NoWitness(Exception):
+    """No support witness was found: exit 1 without a run report."""
+
+
+def _since(start: float = 0.0) -> float:
+    """Seconds on the performance counter since `start` (its reading when omitted)."""
+    return time.perf_counter() - start
+
+
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -75,6 +93,13 @@ def _load_graph(path: str):
     if not p.exists():
         raise FileNotFoundError(f"no such file: {path}")
     return parse_graph(p.read_text()), _digest(p)
+
+
+def _load_json(path: str) -> dict:
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _emit(report: RunReport, args) -> None:
@@ -103,8 +128,6 @@ def _write_json(args, name: str, payload: dict) -> str:
 
 
 def _cut_json(report, g):
-    from .graphs import vertex_token
-
     if report is None:
         return None
     return {
@@ -114,25 +137,43 @@ def _cut_json(report, g):
     }
 
 
-def _recognizer(args, g):
-    cls = args.cls
-    if cls == "convex":
-        return recognize_convex(g)
-    if cls == "circular":
-        return recognize_circular(g)
-    if cls == "star":
-        return recognize_star(g)
-    if cls == "tdelta":
-        return recognize_tdelta(g, args.t, args.delta)
-    raise ValueError(f"unknown class {cls!r}")
+_RECOGNIZERS = {
+    "convex": lambda args, g: recognize_convex(g),
+    "circular": lambda args, g: recognize_circular(g),
+    "star": lambda args, g: recognize_star(g),
+    "tdelta": lambda args, g: recognize_tdelta(g, args.t, args.delta),
+}
+
+_DECOMPOSERS = {
+    "convex": decompose_convex,
+    "circular": decompose_circular,
+    "spider": decompose_spider,
+    "tdelta": decompose_tdelta,
+}
 
 
-def cmd_recognize(args) -> int:
-    start = time.perf_counter()
-    g, digest = _load_graph(args.file)
-    if not isinstance(g, BipartiteGraph):
-        raise ValueError("recognition needs a bipartite input")
-    w = _recognizer(args, g)
+def _recognize(args, g, cls: str):
+    if cls not in _RECOGNIZERS:
+        raise ValueError(f"unknown class {cls!r}")
+    return _RECOGNIZERS[cls](args, g)
+
+
+def _support(args, g, cls: str, missing: str):
+    """The support in the --witness file, else the recognized one."""
+    if args.witness:
+        return witness_from_json(_load_json(args.witness))
+    w = _recognize(args, g, cls)
+    if w is None:
+        raise _NoWitness(missing)
+    return w
+
+
+# Command bodies: each takes the parsed args and the loaded input graph
+# (None for gen) and returns (outputs, measured, bounds, passed).
+
+
+def cmd_recognize(args, g):
+    w = _recognize(args, g, args.cls)
     outputs = {}
     if w is not None:
         if not verify_support(g, w):
@@ -140,98 +181,36 @@ def cmd_recognize(args) -> int:
         outputs["witness"] = _write_json(
             args, Path(args.file).stem + ".witness.json", witness_to_json(w)
         )
-    report = RunReport(
-        command=sys.argv[1:],
-        input_digest=digest,
-        outputs=outputs,
-        measured={"recognized": w is not None, "class": args.cls},
-        bounds={},
-        passed=w is not None,
-        wall_time_s=time.perf_counter() - start,
-    )
-    _emit(report, args)
-    return 0 if w is not None else 1
+    return outputs, {"recognized": w is not None, "class": args.cls}, {}, w is not None
 
 
-def cmd_decompose(args) -> int:
-    start = time.perf_counter()
-    g, digest = _load_graph(args.file)
-    if not isinstance(g, BipartiteGraph):
-        raise ValueError("decomposition needs a bipartite input")
-    if args.witness:
-        w = witness_from_json(json.loads(Path(args.witness).read_text()))
-    else:
-        w = _recognizer(args, g)
-        if w is None:
-            print(f"not {args.cls} convex: no witness", file=sys.stderr)
-            return 1
+def cmd_decompose(args, g):
+    w = _support(args, g, args.cls, f"not {args.cls} convex: no witness")
     if not verify_support(g, w):
         raise ValueError("witness does not certify the input graph")
-
-    cls = args.cls
-    if cls == "convex":
-        d = decompose_convex(g, w)
-        bound = 1
-    elif cls == "circular":
-        d = decompose_circular(g, w)
-        bound = 2
-    elif cls == "spider":
-        d = decompose_spider(g, w)
-        bound = spider_bound(max(w.max_degree, 3)) if w.t >= 1 else 1
-    elif cls == "tdelta":
-        d = decompose_tdelta(g, w)
-        bound = tdelta_bound(w.t, max(w.max_degree, 3)) if w.t >= 1 else 1
-    else:
-        raise ValueError(f"unknown class {cls!r}")
-
+    d = _DECOMPOSERS[args.cls](g, w)
+    bound = construction_bound(args.cls, w)
     measured, worst = width_of(g, d, "mim")
     outputs = {
         "decomposition": _write_json(
             args, Path(args.file).stem + ".decomposition.json", decomposition_to_json(d, g)
         )
     }
-    passed = measured <= bound
-    report = RunReport(
-        command=sys.argv[1:],
-        input_digest=digest,
-        outputs=outputs,
-        measured={
-            "width": measured,
-            "worst_cut": _cut_json(worst, g),
-        },
-        bounds={"width": bound},
-        passed=passed,
-        wall_time_s=time.perf_counter() - start,
+    return (
+        outputs,
+        {"width": measured, "worst_cut": _cut_json(worst, g)},
+        {"width": bound},
+        measured <= bound,
     )
-    _emit(report, args)
-    return 0 if passed else 1
 
 
-def cmd_width(args) -> int:
-    start = time.perf_counter()
-    g, digest = _load_graph(args.file)
-    d = decomposition_from_json(json.loads(Path(args.decomposition).read_text()), g)
+def cmd_width(args, g):
+    d = decomposition_from_json(_load_json(args.decomposition), g)
     measured, worst = width_of(g, d, args.mode)
-    report = RunReport(
-        command=sys.argv[1:],
-        input_digest=digest,
-        outputs={},
-        measured={
-            "width": measured,
-            "mode": args.mode,
-            "worst_cut": _cut_json(worst, g),
-        },
-        bounds={},
-        passed=True,
-        wall_time_s=time.perf_counter() - start,
-    )
-    _emit(report, args)
-    return 0
+    return {}, {"width": measured, "mode": args.mode, "worst_cut": _cut_json(worst, g)}, {}, True
 
 
-def cmd_oracle(args) -> int:
-    start = time.perf_counter()
-    g, digest = _load_graph(args.file)
+def cmd_oracle(args, g):
     params = [p.strip() for p in args.param.split(",") if p.strip()]
     guard_small = args.guard if args.guard else 8
     guard_thin = args.guard if args.guard else 13
@@ -254,58 +233,24 @@ def cmd_oracle(args) -> int:
         elif param == "mim-cut":
             if not args.side:
                 raise ValueError("mim-cut needs --side")
-            side = _parse_side(args.side, g)
-            value, _ = max_induced_matching_cut(
-                g.to_graph() if isinstance(g, BipartiteGraph) else g, side
-            )
+            side = [parse_vertex_token(g, tok.strip()) for tok in args.side.split(",")]
+            value, _ = max_induced_matching_cut(g.to_graph(), side)
             measured["mim-cut"] = value
         else:
             raise ValueError(f"unknown oracle parameter {param!r}")
     passed = True
     if "mimw" in measured and "simw" in measured:
         passed = measured["simw"] <= measured["mimw"]
-    report = RunReport(
-        command=sys.argv[1:],
-        input_digest=digest,
-        outputs=outputs,
-        measured=measured,
-        bounds={},
-        passed=passed,
-        wall_time_s=time.perf_counter() - start,
-    )
-    _emit(report, args)
-    return 0 if passed else 1
+    return outputs, measured, {}, passed
 
 
-def _parse_side(text: str, g):
-    side = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if isinstance(g, BipartiteGraph) and tok[0] in "ab":
-            idx = int(tok[1:]) - 1
-            side.append(idx if tok[0] == "a" else g.a_size + idx)
-        else:
-            side.append(int(tok) - 1)
-    return side
-
-
-def cmd_thin(args) -> int:
-    start = time.perf_counter()
-    g, digest = _load_graph(args.file)
-    if not isinstance(g, BipartiteGraph):
-        raise ValueError("the thinness construction needs a bipartite input")
-    if args.witness:
-        w = witness_from_json(json.loads(Path(args.witness).read_text()))
-    else:
-        w = recognize_tdelta(g, args.t, args.delta)
-        if w is None:
-            print("no tree support within the given (t, delta)", file=sys.stderr)
-            return 1
+def cmd_thin(args, g):
+    w = _support(args, g, "tdelta", "no tree support within the given (t, delta)")
     rep = thinness.thin_from_tree_support(g, w)
     gg = g.to_graph()
     if not thinness.verify_consistent(gg, rep):
         raise AssertionError("construction emitted an inconsistent representation")
-    bound = 2 + w.t * max(w.max_degree - 2, 0)
+    bound = thin_bound(w.t, w.max_degree)
     d = thinness.linear_bd_from_thin(gg, rep)
     lw, _ = width_of(gg, d, "mim")
     outputs = {
@@ -315,24 +260,17 @@ def cmd_thin(args) -> int:
             thinness.representation_to_json(rep, g),
         )
     }
-    passed = rep.class_count() <= bound and lw <= rep.class_count()
-    report = RunReport(
-        command=sys.argv[1:],
-        input_digest=digest,
-        outputs=outputs,
-        measured={"classes": rep.class_count(), "linear_mim_width": lw},
-        bounds={"classes": bound, "linear_mim_width": rep.class_count()},
-        passed=passed,
-        wall_time_s=time.perf_counter() - start,
+    k = rep.class_count()
+    return (
+        outputs,
+        {"classes": k, "linear_mim_width": lw},
+        {"classes": bound, "linear_mim_width": k},
+        k <= bound and lw <= k,
     )
-    _emit(report, args)
-    return 0 if passed else 1
 
 
-def cmd_convert(args) -> int:
-    start = time.perf_counter()
-    g, digest = _load_graph(args.file)
-    gg = g.to_graph() if isinstance(g, BipartiteGraph) else g
+def cmd_convert(args, g):
+    gg = g.to_graph()
     pd = thinness.parse_pathdecomp(Path(args.pathdecomp).read_text(), g)
     ok, q = thinness.verify_pathdecomp(gg, pd)
     if not ok:
@@ -340,7 +278,7 @@ def cmd_convert(args) -> int:
     rep = thinness.pathdecomp_to_pthin(gg, pd)
     if not thinness.verify_strongly_consistent(gg, rep):
         raise AssertionError("conversion emitted a non-strong representation")
-    bound = (2**q) * (q + 1)
+    bound = pthin_bound(q)
     outputs = {
         "representation": _write_json(
             args,
@@ -348,30 +286,15 @@ def cmd_convert(args) -> int:
             thinness.representation_to_json(rep, g),
         )
     }
-    passed = rep.class_count() <= bound
-    report = RunReport(
-        command=sys.argv[1:],
-        input_digest=digest,
-        outputs=outputs,
-        measured={"classes": rep.class_count(), "pathwidth": q},
-        bounds={"classes": bound},
-        passed=passed,
-        wall_time_s=time.perf_counter() - start,
-    )
-    _emit(report, args)
-    return 0 if passed else 1
+    k = rep.class_count()
+    return outputs, {"classes": k, "pathwidth": q}, {"classes": bound}, k <= bound
 
 
-def cmd_gen(args) -> int:
-    start = time.perf_counter()
+def cmd_gen(args, _):
     spec = families.parse_genspec(args.spec)
     if args.seed is not None and spec.seed == 0:
         spec = families.GenSpec(spec.family, spec.params, args.seed)
-
-    def load(path):
-        return parse_graph(Path(path).read_text())
-
-    name, g, w = families.run_genspec(spec, load)
+    name, g, w = families.run_genspec(spec, lambda path: parse_graph(Path(path).read_text()))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     graph_path = out_dir / f"{name}.graph"
@@ -379,33 +302,18 @@ def cmd_gen(args) -> int:
     outputs = {"graph": str(graph_path)}
     if w is not None:
         outputs["witness"] = _write_json(args, f"{name}.witness.json", witness_to_json(w))
-    report = RunReport(
-        command=sys.argv[1:],
-        input_digest=None,
-        outputs=outputs,
-        measured={"vertices": g.n, "family": spec.family},
-        bounds={},
-        passed=True,
-        wall_time_s=time.perf_counter() - start,
-    )
-    _emit(report, args)
-    return 0
+    return outputs, {"vertices": g.n, "family": spec.family}, {}, True
 
 
-def cmd_verify(args) -> int:
-    start = time.perf_counter()
-    g, digest = _load_graph(args.file)
-    gg = g.to_graph() if isinstance(g, BipartiteGraph) else g
+def cmd_verify(args, g):
+    gg = g.to_graph()
     measured = {}
     ok = True
     if args.witness:
-        w = witness_from_json(json.loads(Path(args.witness).read_text()))
-        ok = verify_support(g, w)
+        ok = verify_support(g, witness_from_json(_load_json(args.witness)))
         measured["witness_valid"] = ok
     elif args.decomposition:
-        d = decomposition_from_json(json.loads(Path(args.decomposition).read_text()), g)
-        from .decomp import validate_decomposition
-
+        d = decomposition_from_json(_load_json(args.decomposition), g)
         try:
             validate_decomposition(gg, d)
             measured["decomposition_valid"] = True
@@ -414,9 +322,7 @@ def cmd_verify(args) -> int:
             measured["reason"] = str(exc)
             ok = False
     elif args.representation:
-        rep = thinness.representation_from_json(
-            json.loads(Path(args.representation).read_text()), g
-        )
+        rep = thinness.representation_from_json(_load_json(args.representation), g)
         if args.strong:
             ok = thinness.verify_strongly_consistent(gg, rep)
         else:
@@ -430,17 +336,35 @@ def cmd_verify(args) -> int:
         measured["width"] = width
     else:
         raise ValueError("nothing to verify: pass --witness/--decomposition/--representation/--pathdecomp")
+    return {}, measured, {}, ok
+
+
+def _run(args, command: list[str]) -> int:
+    """Load the input graph, run the command body, and append its report:
+    exit 0 when the report passes, 1 when it fails or no witness exists."""
+    start = _since()
+    g = digest = None
+    if hasattr(args, "file"):
+        g, digest = _load_graph(args.file)
+    needs = getattr(args, "needs_bipartite", None)
+    if needs and not isinstance(g, BipartiteGraph):
+        raise ValueError(f"{needs} needs a bipartite input")
+    try:
+        outputs, measured, bounds, passed = args.fn(args, g)
+    except _NoWitness as exc:
+        print(exc, file=sys.stderr)
+        return 1
     report = RunReport(
-        command=sys.argv[1:],
+        command=command,
         input_digest=digest,
-        outputs={},
+        outputs=outputs,
         measured=measured,
-        bounds={},
-        passed=ok,
-        wall_time_s=time.perf_counter() - start,
+        bounds=bounds,
+        passed=passed,
+        wall_time_s=_since(start),
     )
     _emit(report, args)
-    return 0 if ok else 1
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--delta", type=int, default=3)
     p.add_argument("file")
-    p.set_defaults(fn=cmd_recognize)
+    p.set_defaults(fn=cmd_recognize, needs_bipartite="recognition")
 
     p = sub.add_parser("decompose", help="build a width-bounded branch decomposition")
     p.add_argument("--class", dest="cls", required=True, choices=("convex", "circular", "spider", "tdelta"))
@@ -467,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--delta", type=int, default=3)
     p.add_argument("file")
-    p.set_defaults(fn=cmd_decompose)
+    p.set_defaults(fn=cmd_decompose, needs_bipartite="decomposition")
 
     p = sub.add_parser("width", help="measure the width of a decomposition")
     p.add_argument("--decomposition", required=True)
@@ -486,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--delta", type=int, default=3)
     p.add_argument("file")
-    p.set_defaults(fn=cmd_thin)
+    p.set_defaults(fn=cmd_thin, needs_bipartite="the thinness construction")
 
     p = sub.add_parser("convert", help="path decomposition to proper-thin representation")
     p.add_argument("--pathdecomp", required=True)
@@ -513,7 +437,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        return _run(args, sys.argv[1:] if argv is None else list(argv))
     except (GraphFormatError, SizeGuardError, FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

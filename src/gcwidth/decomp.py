@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from .graphs import BipartiteGraph, Graph, induced_subgraph
-from .supports import SupportWitness, restrict_support, verify_support
+from .graphs import BipartiteGraph, Graph, induced_subgraph, parse_vertex_token, vertex_token
+from .supports import SupportWitness, _walk_path, restrict_support, verify_support
 
 
 class SizeGuardError(ValueError):
@@ -209,8 +209,7 @@ def _prep(g: Graph):
     return g.adjacency_masks(), sorted(g.edges)
 
 
-def max_induced_matching_cut(g: Graph, side) -> tuple[int, tuple]:
-    """Exact maximum induced matching of the cut graph G[X, V-X]."""
+def _max_induced_matching(g: Graph, side, mode: str) -> tuple[int, tuple]:
     xmask = 0
     for v in side:
         if not (0 <= v < g.n):
@@ -218,19 +217,17 @@ def max_induced_matching_cut(g: Graph, side) -> tuple[int, tuple]:
         xmask |= 1 << v
     ymask = ((1 << g.n) - 1) & ~xmask
     adj, edges = _prep(g)
-    return _mim_pair(adj, edges, xmask, ymask, "mim")
+    return _mim_pair(adj, edges, xmask, ymask, mode)
+
+
+def max_induced_matching_cut(g: Graph, side) -> tuple[int, tuple]:
+    """Exact maximum induced matching of the cut graph G[X, V-X]."""
+    return _max_induced_matching(g, side, "mim")
 
 
 def max_induced_matching_sim(g: Graph, side) -> tuple[int, tuple]:
     """As max_induced_matching_cut but the matching is induced in G itself."""
-    xmask = 0
-    for v in side:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
-        xmask |= 1 << v
-    ymask = ((1 << g.n) - 1) & ~xmask
-    adj, edges = _prep(g)
-    return _mim_pair(adj, edges, xmask, ymask, "sim")
+    return _max_induced_matching(g, side, "sim")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +258,7 @@ def width_of(g: Graph | BipartiteGraph, d: BranchDecomposition, mode: str = "mim
     """
     if mode not in ("mim", "sim"):
         raise ValueError(f"unknown mode {mode!r}")
-    gg = g.to_graph() if isinstance(g, BipartiteGraph) else g
+    gg = g.to_graph()
     validate_decomposition(gg, d)
     if not d.tree.edges:
         return 0, None
@@ -365,14 +362,12 @@ def _min_width_over_trees(g: Graph, mode: str, guard: int):
 
 def mimw_oracle(g: Graph | BipartiteGraph, guard: int = 8):
     """Exact mim-width over all branch decompositions; (value, witness)."""
-    gg = g.to_graph() if isinstance(g, BipartiteGraph) else g
-    return _min_width_over_trees(gg, "mim", guard)
+    return _min_width_over_trees(g.to_graph(), "mim", guard)
 
 
 def simw_oracle(g: Graph | BipartiteGraph, guard: int = 8):
     """Exact sim-width over all branch decompositions; (value, witness)."""
-    gg = g.to_graph() if isinstance(g, BipartiteGraph) else g
-    return _min_width_over_trees(gg, "sim", guard)
+    return _min_width_over_trees(g.to_graph(), "sim", guard)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +386,28 @@ def tdelta_bound(t: int, delta: int) -> int:
     return spider_bound(delta) + t * t * delta
 
 
+def construction_bound(kind: str, w: SupportWitness) -> int:
+    """Width guarantee of decompose_<kind> on the support witness w."""
+    if kind == "convex":
+        return 1
+    if kind == "circular":
+        return 2
+    if w.t < 1:
+        return 1
+    delta = max(w.max_degree, 3)
+    return spider_bound(delta) if kind == "spider" else tdelta_bound(w.t, delta)
+
+
+def thin_bound(t: int, delta: int) -> int:
+    """Class bound of thin_from_tree_support: 2 + t(delta-2)."""
+    return 2 + t * max(delta - 2, 0)
+
+
+def pthin_bound(q: int) -> int:
+    """Class bound of pathdecomp_to_pthin at path width q: 2^q (q+1)."""
+    return (2**q) * (q + 1)
+
+
 def multijoin_bound(c: int, p: int, part_widths) -> int:
     """Width guarantee when gluing p parts with pairwise cut values <= c."""
     inner = max(part_widths, default=0)
@@ -401,63 +418,43 @@ def multijoin_bound(c: int, p: int, part_widths) -> int:
 # constructions
 
 
-def decompose_convex(g: BipartiteGraph, w: SupportWitness) -> BranchDecomposition:
-    """Linear decomposition of width <= 1 from a path support.
-
-    Order: A along the path; each b with neighbours goes immediately after
-    its largest A-neighbour (ties by b index), isolated b's at the end.
-    """
-    if w.kind != "path":
-        raise ValueError(f"need a path witness, got {w.kind!r}")
-    if not verify_support(g, w):
-        raise ValueError("invalid path witness")
-    order = list(w.path_order()) if g.a_size else []
-    pos = {a: i for i, a in enumerate(order)}
-    after: dict[int, list[int]] = {i: [] for i in range(len(order))}
+def interleave(g: BipartiteGraph, a_order) -> list[int]:
+    """Vertex order: A as in a_order, each b with neighbours right after its
+    greatest A-neighbour in that order (ties by b index), isolated b's at the
+    end."""
+    pos = {a: i for i, a in enumerate(a_order)}
+    after: list[list[int]] = [[] for _ in pos]
     tail = []
     for j, nb in enumerate(g.adj):
         if nb:
             after[max(pos[a] for a in nb)].append(g.a_size + j)
         else:
             tail.append(g.a_size + j)
-    total = []
-    for i, a in enumerate(order):
-        total.append(a)
-        total.extend(sorted(after[i]))
-    total.extend(sorted(tail))
-    return caterpillar_from_ordering(total)
+    order = []
+    for a, bs in zip(a_order, after):
+        order.append(a)
+        order.extend(bs)
+    return order + tail
+
+
+def decompose_convex(g: BipartiteGraph, w: SupportWitness) -> BranchDecomposition:
+    """Linear decomposition of width <= 1 from a path support: the
+    interleave of B into A along the path."""
+    if w.kind != "path":
+        raise ValueError(f"need a path witness, got {w.kind!r}")
+    if not verify_support(g, w):
+        raise ValueError("invalid path witness")
+    return caterpillar_from_ordering(interleave(g, w.path_order()))
 
 
 def decompose_circular(g: BipartiteGraph, w: SupportWitness) -> BranchDecomposition:
-    """Linear decomposition of width <= 2 from a cycle support.
-
-    The circular order is linearized; B splits into the neighbours of the
-    last A-vertex (inserted right after it) and the rest (each inserted
-    immediately after its largest A-neighbour).
-    """
+    """Linear decomposition of width <= 2 from a cycle support: the
+    interleave of B into A along the linearized circular order."""
     if w.kind != "cycle":
         raise ValueError(f"need a cycle witness, got {w.kind!r}")
     if not verify_support(g, w):
         raise ValueError("invalid cycle witness")
-    order = list(w.cycle_order()) if g.a_size else []
-    pos = {a: i for i, a in enumerate(order)}
-    n = len(order)
-    after: dict[int, list[int]] = {i: [] for i in range(n)}
-    tail = []
-    for j, nb in enumerate(g.adj):
-        b = g.a_size + j
-        if not nb:
-            tail.append(b)
-        elif n - 1 in (pos[a] for a in nb):
-            after[n - 1].append(b)
-        else:
-            after[max(pos[a] for a in nb)].append(b)
-    total = []
-    for i, a in enumerate(order):
-        total.append(a)
-        total.extend(sorted(after[i]))
-    total.extend(sorted(tail))
-    return caterpillar_from_ordering(total)
+    return caterpillar_from_ordering(interleave(g, w.cycle_order()))
 
 
 def glue_multijoin(g: Graph, parts, part_decomps) -> BranchDecomposition:
@@ -543,22 +540,8 @@ def decompose_spider(g: BipartiteGraph, w: SupportWitness) -> BranchDecompositio
         return decompose_convex(g, _path_witness(w.path_order()))
     u = branching[0]
     adj = w.host_adjacency()
-    comps = []
-    seen_all = {u}
-    for c_start in sorted(adj[u]):
-        if c_start in seen_all:
-            continue
-        comp = {c_start}
-        stack = [c_start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y != u and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen_all |= comp
-        comps.append(comp)
-    comps.sort(key=min)
+    # the components of the host minus u, one behind each edge at u
+    comps = sorted((_tree_side(adj, c, u) for c in adj[u]), key=min)
 
     b_prime, b_rest = [], []
     b_of_comp: list[list[int]] = [[] for _ in comps]
@@ -576,28 +559,14 @@ def decompose_spider(g: BipartiteGraph, w: SupportWitness) -> BranchDecompositio
         if not placed:
             b_rest.append(b)
 
-    def comp_path(comp):
-        # each component is a path; u's neighbour inside it is an endpoint
-        # (non-branching vertices have host degree <= 2), so walk from the
-        # opposite end toward it
-        (c_near,) = set(adj[u]) & comp
-        if len(comp) == 1:
-            return [c_near]
-        local = {v: set(adj[v]) & comp for v in comp}
-        ends = [v for v in comp if len(local[v]) <= 1]
-        (far,) = [e for e in ends if e != c_near]
-        order = [far]
-        prev = None
-        while len(order) < len(comp):
-            nxt = sorted(local[order[-1]] - ({prev} if prev is not None else set()))
-            prev = order[-1]
-            order.append(nxt[0])
-        return order
-
     parts = []
     hosts = []
     for i, comp in enumerate(comps):
-        a_path = comp_path(comp)
+        # each component is a path and u's neighbour in it is an endpoint
+        # (non-branching vertices have host degree <= 2); walk toward it
+        # from the opposite end, the one leaf of the host in comp
+        (far,) = [v for v in comp if len(adj[v]) == 1]
+        a_path = list(_walk_path(adj, far, len(comp)))
         if i == 0:
             a_part = a_path + [u]
             b_part = sorted(b_of_comp[0] + b_prime + b_rest)
@@ -648,7 +617,7 @@ def decompose_tdelta(
 
     best = None
     for (u, v) in sorted(w.host_edges):
-        side_u = _component_without(adj, u, v)
+        side_u = _tree_side(adj, u, v)
         side_v = set(w.vertices) - side_u
         t1, t2 = side_branchings(side_u), side_branchings(side_v)
         key = (max(t1, t2), (u, v))
@@ -689,27 +658,11 @@ def decompose_tdelta(
     return glue_multijoin(g.to_graph(), [x1, x2], decomps)
 
 
-def _component_without(adj: dict[int, set[int]], u: int, v: int) -> set[int]:
-    seen = {u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if {x, y} == {u, v}:
-                continue
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
 # ---------------------------------------------------------------------------
 # JSON wire form
 
 
 def decomposition_to_json(d: BranchDecomposition, g) -> dict:
-    from .graphs import vertex_token
-
     leaves = sorted(d.leaf_map)
     internal = sorted(v for v in range(d.tree.n) if v not in d.leaf_map)
     name = {}
@@ -731,14 +684,6 @@ def decomposition_to_json(d: BranchDecomposition, g) -> dict:
 
 
 def decomposition_from_json(data: dict, g) -> BranchDecomposition:
-    from .graphs import BipartiteGraph as _BG
-
-    def vertex_of(tok: str) -> int:
-        if isinstance(g, _BG):
-            idx = int(tok[1:]) - 1
-            return idx if tok[0] == "a" else g.a_size + idx
-        return int(tok) - 1
-
     leaf_names = sorted(data["leaves"], key=lambda s: int(s[1:]))
     ids = {nm: i for i, nm in enumerate(leaf_names)}
     internal_names = sorted(
@@ -749,6 +694,6 @@ def decomposition_from_json(data: dict, g) -> BranchDecomposition:
         ids[nm] = len(ids)
     edges = [(ids[a], ids[b]) for a, b in data["tree_edges"]]
     tree = Graph.make(max(len(ids), 1), edges)
-    leaf_map = {ids[nm]: vertex_of(tok) for nm, tok in data["leaves"].items()}
+    leaf_map = {ids[nm]: parse_vertex_token(g, tok) for nm, tok in data["leaves"].items()}
     spine = tuple(ids[nm] for nm in data.get("spine", []))
     return BranchDecomposition(tree, leaf_map, bool(data.get("linear", False)), spine)

@@ -59,7 +59,8 @@ def gen_crown(n: int) -> tuple[BipartiteGraph, SupportWitness]:
     else:
         edges = frozenset((min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n))
     w = SupportWitness("cycle", tuple(range(n)), edges)
-    assert verify_support(g, w)
+    if not verify_support(g, w):
+        raise AssertionError("planted witness is invalid")
     return g, w
 
 
@@ -241,7 +242,8 @@ def gen_random_hconvex(
         _random_connected_subset(rng, adj, witness.vertices) for _ in range(b_size)
     )
     g = BipartiteGraph(a_size, b_size, nbrs)
-    assert verify_support(g, witness)
+    if not verify_support(g, witness):
+        raise AssertionError("planted witness is invalid")
     return g, witness
 
 

@@ -42,6 +42,9 @@ class Graph:
             canon.add((min(u, v), max(u, v)))
         return Graph(n, frozenset(canon))
 
+    def to_graph(self) -> "Graph":
+        return self
+
     def adjacency(self) -> list[set[int]]:
         adj = [set() for _ in range(self.n)]
         for u, v in self.edges:
@@ -141,13 +144,26 @@ def vertex_token(g, v: int) -> str:
 
 def _bip_token(tok: str, a_size: int, b_size: int) -> int:
     side = tok[:1]
-    if side not in ("a", "b") or not tok[1:].isdigit():
+    if side not in ("a", "b") or not tok[1:].isdecimal():
         raise GraphFormatError("token", f"bad bipartite vertex token {tok!r}")
     idx = int(tok[1:]) - 1
     limit = a_size if side == "a" else b_size
     if not (0 <= idx < limit):
         raise GraphFormatError("range", f"vertex {tok} out of range")
     return idx if side == "a" else a_size + idx
+
+
+def parse_vertex_token(g, tok) -> int:
+    """Inverse of vertex_token.  Raises GraphFormatError for a token of the
+    wrong kind (foreign side letter, non-digit, non-string) or one naming no
+    vertex of g (0 or past the end)."""
+    if isinstance(g, BipartiteGraph) and isinstance(tok, str):
+        return _bip_token(tok, g.a_size, g.b_size)
+    if not isinstance(tok, str) or not tok.isdecimal():
+        raise GraphFormatError("token", f"bad vertex token {tok!r}")
+    if not 0 < int(tok) <= g.n:
+        raise GraphFormatError("range", f"vertex {tok} out of range")
+    return int(tok) - 1
 
 
 def parse_graph(text: str | bytes):
@@ -272,9 +288,7 @@ def is_chordal_bipartite(g) -> bool:
     an odd induced cycle is found (triangles included), which makes the test
     usable on the forbidden-pattern graphs as well.
     """
-    if isinstance(g, BipartiteGraph):
-        g = g.to_graph()
-    adj = g.adjacency()
+    adj = g.to_graph().adjacency()
 
     # Grow induced paths s,x1,..,xk with min vertex s; the only permitted
     # chord back to s is the one closing the cycle.

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from .decomp import BranchDecomposition, SizeGuardError, caterpillar_from_ordering
-from .graphs import BipartiteGraph, Graph
+from .decomp import BranchDecomposition, SizeGuardError, _bits, caterpillar_from_ordering, interleave
+from .graphs import BipartiteGraph, Graph, parse_vertex_token, vertex_token
 from .supports import SupportWitness, verify_support
 
 
@@ -100,8 +100,8 @@ def verify_strongly_consistent(g: Graph, r: ThinRepresentation) -> bool:
     """Both triple conditions; cross-checked against the consecutiveness
     characterization, which must agree."""
     by_triples = strongly_consistent_by_triples(g, r)
-    by_consecutive = strongly_consistent_by_consecutiveness(g, r)
-    assert by_triples == by_consecutive, "strong-consistency tests disagree"
+    if by_triples != strongly_consistent_by_consecutiveness(g, r):
+        raise AssertionError("strong-consistency tests disagree")
     return by_triples
 
 
@@ -163,20 +163,7 @@ def thin_from_tree_support(g: BipartiteGraph, w: SupportWitness) -> ThinRepresen
         for x in reversed(children[v]):
             stack.append((x, False))
 
-    pos = {a: i for i, a in enumerate(postorder)}
-    after: dict[int, list[int]] = {i: [] for i in range(len(postorder))}
-    tail = []
-    for j, nb in enumerate(g.adj):
-        b = g.a_size + j
-        if nb:
-            after[max(pos[a] for a in nb)].append(b)
-        else:
-            tail.append(b)
-    order = []
-    for i, a in enumerate(postorder):
-        order.append(a)
-        order.extend(sorted(after[i]))
-    order.extend(sorted(tail))
+    order = interleave(g, postorder)
 
     class_sets: list[set[int]] = [set() for _ in range(next_cls)]
     class_sets[0] = {g.a_size + j for j in range(g.b_size)}
@@ -188,8 +175,7 @@ def thin_from_tree_support(g: BipartiteGraph, w: SupportWitness) -> ThinRepresen
 
 def linear_bd_from_thin(g: Graph | BipartiteGraph, r: ThinRepresentation) -> BranchDecomposition:
     """Caterpillar over the representation's order; mim width <= class count."""
-    gg = g.to_graph() if isinstance(g, BipartiteGraph) else g
-    if not verify_consistent(gg, r):
+    if not verify_consistent(g.to_graph(), r):
         raise ValueError("representation is not consistent")
     return caterpillar_from_ordering(r.order)
 
@@ -222,7 +208,7 @@ def _feasible(n: int, adj: list[int], k: int, proper: bool) -> bool:
 
         for (placed, fronts), count in states.items():
             remaining = full & ~placed
-            for v in _bit_list(remaining):
+            for v in _bits(remaining):
                 bit = 1 << v
                 nplaced = placed | bit
                 rest = full & ~nplaced
@@ -232,7 +218,7 @@ def _feasible(n: int, adj: list[int], k: int, proper: bool) -> bool:
                 fresh_count = count if count > opened else count + 1
                 if proper:
                     live = 0
-                    for u in _bit_list(rest):
+                    for u in _bits(rest):
                         live |= adj[u]
                     # vertices in a bad-set only matter while they still
                     # have unplaced neighbours
@@ -282,15 +268,6 @@ def _feasible(n: int, adj: list[int], k: int, proper: bool) -> bool:
     return bool(states)
 
 
-def _bit_list(mask: int):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def thin_oracle(g: Graph | BipartiteGraph, guard: int = 13) -> int:
     """Exact thinness by iterative deepening on the class count."""
     return _thinness_value(g, guard, proper=False)
@@ -302,7 +279,7 @@ def pthin_oracle(g: Graph | BipartiteGraph, guard: int = 13) -> int:
 
 
 def _thinness_value(g, guard: int, proper: bool) -> int:
-    gg = g.to_graph() if isinstance(g, BipartiteGraph) else g
+    gg = g.to_graph()
     n = gg.n
     if n == 0:
         raise ValueError("empty graph")
@@ -378,8 +355,8 @@ def pathdecomp_to_pthin(g: Graph, p: PathDecomposition) -> ThinRepresentation:
         while c in used:
             c += 1
         colour[v] = c
-    n_colours = max(colour.values()) + 1 if colour else 1
-    assert n_colours <= q + 1
+    if max(colour.values(), default=0) > q:
+        raise AssertionError("stage-1 colouring uses more than q+1 colours")
 
     adj = g.adjacency()
     smaller_by_colour: dict[int, dict[int, int]] = {}
@@ -388,7 +365,8 @@ def pathdecomp_to_pthin(g: Graph, p: PathDecomposition) -> ThinRepresentation:
         for u in adj[v]:
             if pos[u] < pos[v]:
                 per[colour[u]] = per.get(colour[u], 0) + 1
-        assert all(cnt <= 1 for cnt in per.values()), "stage-1 property violated"
+        if any(cnt > 1 for cnt in per.values()):
+            raise AssertionError("stage-1 property violated")
         smaller_by_colour[v] = per
 
     refined: dict[tuple[int, frozenset[int]], set[int]] = {}
@@ -403,14 +381,6 @@ def pathdecomp_to_pthin(g: Graph, p: PathDecomposition) -> ThinRepresentation:
 
 def parse_pathdecomp(text: str, g) -> PathDecomposition:
     """Lines ``bag v1 v2 ...`` in sequence order, vertex tokens as in files."""
-    from .graphs import BipartiteGraph as _BG
-
-    def vertex_of(tok: str) -> int:
-        if isinstance(g, _BG):
-            idx = int(tok[1:]) - 1
-            return idx if tok[0] == "a" else g.a_size + idx
-        return int(tok) - 1
-
     bags = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -419,13 +389,11 @@ def parse_pathdecomp(text: str, g) -> PathDecomposition:
         parts = line.split()
         if parts[0] != "bag":
             raise ValueError(f"bad path decomposition line {line!r}")
-        bags.append(frozenset(vertex_of(tok) for tok in parts[1:]))
+        bags.append(frozenset(parse_vertex_token(g, tok) for tok in parts[1:]))
     return PathDecomposition(tuple(bags))
 
 
 def serialize_pathdecomp(p: PathDecomposition, g) -> str:
-    from .graphs import vertex_token
-
     lines = []
     for bag in p.bags:
         toks = " ".join(vertex_token(g, v) for v in sorted(bag))
@@ -438,8 +406,6 @@ def serialize_pathdecomp(p: PathDecomposition, g) -> str:
 
 
 def representation_to_json(r: ThinRepresentation, g) -> dict:
-    from .graphs import vertex_token
-
     return {
         "order": [vertex_token(g, v) for v in r.order],
         "classes": [sorted(vertex_token(g, v) for v in c) for c in r.classes],
@@ -448,14 +414,6 @@ def representation_to_json(r: ThinRepresentation, g) -> dict:
 
 
 def representation_from_json(data: dict, g) -> ThinRepresentation:
-    from .graphs import BipartiteGraph as _BG
-
-    def vertex_of(tok: str) -> int:
-        if isinstance(g, _BG):
-            idx = int(tok[1:]) - 1
-            return idx if tok[0] == "a" else g.a_size + idx
-        return int(tok) - 1
-
-    order = tuple(vertex_of(t) for t in data["order"])
-    classes = tuple(frozenset(vertex_of(t) for t in c) for c in data["classes"])
+    order = tuple(parse_vertex_token(g, t) for t in data["order"])
+    classes = tuple(frozenset(parse_vertex_token(g, t) for t in c) for c in data["classes"])
     return ThinRepresentation(order, classes, bool(data.get("strong", False)))

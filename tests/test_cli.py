@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 from gcwidth.cli import main
 from gcwidth.families import gen_crown, gen_random_hconvex
@@ -289,3 +291,103 @@ class TestReports:
         main(["--out", str(tmp_path / "out"), "--format", "json", "recognize", "--class", "circular", f])
         out = capsys.readouterr().out
         assert json.loads(out)["pass"] is True
+
+    def test_command_echoes_argv_given_to_main(self, tmp_path):
+        argv = ["--out", str(tmp_path / "out"), "gen", "crown:n=3"]
+        assert main(argv) == 0
+        assert read_runs(tmp_path)[-1]["command"] == argv
+
+    def test_command_falls_back_to_sys_argv(self, tmp_path, monkeypatch):
+        argv = ["--out", str(tmp_path / "out"), "gen", "gk:k=2"]
+        monkeypatch.setattr(sys, "argv", ["gcwidth", *argv])
+        assert main() == 0
+        assert read_runs(tmp_path)[-1]["command"] == argv
+
+
+def run_lines(tmp_path):
+    log = tmp_path / "out" / "runs.jsonl"
+    return len(log.read_text().splitlines()) if log.exists() else 0
+
+
+def assert_rejected(tmp_path, capsys, *argv) -> str:
+    """The call ends in exit 2 with an error line and adds no run report;
+    returns that line."""
+    capsys.readouterr()
+    before = run_lines(tmp_path)
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert run_lines(tmp_path) == before
+    return err
+
+
+class TestInputValidation:
+    """Foreign, zero and out-of-range vertex tokens, and JSON files whose top
+    level is not an object, end in exit 2 instead of being coerced."""
+
+    def crown_artifacts(self, tmp_path):
+        assert run(tmp_path, "gen", "crown:n=4") == 0
+        out = tmp_path / "out"
+        graph = str(out / "crown_n4.graph")
+        witness = str(out / "crown_n4.witness.json")
+        assert run(tmp_path, "decompose", "--class", "circular", "--witness", witness, graph) == 0
+        return graph, witness, out / "crown_n4.decomposition.json"
+
+    def test_x_leaves_in_decomposition(self, tmp_path, capsys):
+        graph, _, dec = self.crown_artifacts(tmp_path)
+        data = json.loads(dec.read_text())
+        data["leaves"] = {k: v.replace("b", "x") for k, v in data["leaves"].items()}
+        bad = tmp_path / "x.decomposition.json"
+        bad.write_text(json.dumps(data))
+        assert_rejected(tmp_path, capsys, "width", "--decomposition", str(bad), graph)
+        assert_rejected(tmp_path, capsys, "verify", "--decomposition", str(bad), graph)
+
+    def test_x_tokens_in_representation(self, tmp_path, capsys):
+        g, w = gen_random_hconvex("tree", 6, 6, 1, t=1, delta=3)
+        f = write_graph(tmp_path, g)
+        from gcwidth import representation_to_json, thin_from_tree_support
+
+        data = representation_to_json(thin_from_tree_support(g, w), g)
+        data["order"] = [t.replace("b", "x") for t in data["order"]]
+        rf = tmp_path / "rep.json"
+        rf.write_text(json.dumps(data))
+        assert_rejected(tmp_path, capsys, "verify", "--representation", str(rf), f)
+
+    def test_x_tokens_in_bags(self, tmp_path, capsys):
+        g, _ = gen_crown(2)
+        f = write_graph(tmp_path, g)
+        pd = tmp_path / "x.bags"
+        pd.write_text("bag a1 a2 x1\nbag a1 a2 x2\n")
+        assert_rejected(tmp_path, capsys, "verify", "--pathdecomp", str(pd), f)
+        assert_rejected(tmp_path, capsys, "convert", "--pathdecomp", str(pd), f)
+
+    def test_side_b0(self, tmp_path, capsys):
+        g, _ = gen_crown(3)
+        f = write_graph(tmp_path, g)
+        assert_rejected(tmp_path, capsys, "oracle", "--param", "mim-cut", "--side", "b0", f)
+        assert_rejected(tmp_path, capsys, "oracle", "--param", "mim-cut", "--side", "a1,,b1", f)
+
+    def test_general_token_zero(self, tmp_path, capsys):
+        f = tmp_path / "p3.graph"
+        f.write_text("graph 3\ne 1 2\ne 2 3\n")
+        pd = tmp_path / "p3.bags"
+        pd.write_text("bag 0 1 2\nbag 2 3\n")
+        assert_rejected(tmp_path, capsys, "verify", "--pathdecomp", str(pd), str(f))
+        assert_rejected(tmp_path, capsys, "oracle", "--param", "mim-cut", "--side", "0", str(f))
+
+    def test_json_array_at_top_level(self, tmp_path, capsys):
+        graph, witness, _ = self.crown_artifacts(tmp_path)
+        wrapped = tmp_path / "wrapped.json"
+        wrapped.write_text(json.dumps([json.loads(Path(witness).read_text())]))
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        for arr in (wrapped, empty):
+            for argv in (
+                ("verify", "--witness", str(arr), graph),
+                ("width", "--decomposition", str(arr), graph),
+                ("verify", "--decomposition", str(arr), graph),
+                ("verify", "--representation", str(arr), graph),
+                ("decompose", "--class", "circular", "--witness", str(arr), graph),
+            ):
+                err = assert_rejected(tmp_path, capsys, *argv)
+                assert "expected a JSON object, got list" in err

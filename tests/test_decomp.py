@@ -25,7 +25,8 @@ from gcwidth import (
     validate_decomposition,
     width_of,
 )
-from gcwidth.graphs import complete_bipartite, cycle_graph, path_graph
+from gcwidth.decomp import construction_bound, interleave, pthin_bound, thin_bound
+from gcwidth.graphs import GraphFormatError, complete_bipartite, cycle_graph, path_graph
 from gcwidth.families import gen_crown, gen_random_hconvex
 
 from oracles import brute_max_induced_matching
@@ -211,6 +212,30 @@ class TestBounds:
 
     def test_multijoin_bound(self):
         assert multijoin_bound(2, 3, [1, 1, 1]) == max(2 * 2, 1 + 2 * 2)
+
+    def test_construction_bound_values(self):
+        path = SupportWitness("path", (0, 1, 2), frozenset({(0, 1), (1, 2)}))
+        _, spider = spider_instance(4)
+        assert construction_bound("convex", path) == 1
+        assert construction_bound("circular", path) == 2
+        assert construction_bound("spider", path) == 1  # no branching vertex
+        assert construction_bound("tdelta", path) == 1
+        assert construction_bound("spider", spider) == spider_bound(4)
+        assert construction_bound("tdelta", spider) == tdelta_bound(1, 4)
+
+    def test_thinness_class_bounds(self):
+        assert [thin_bound(1, 3), thin_bound(2, 3), thin_bound(2, 4)] == [3, 4, 6]
+        assert thin_bound(0, 2) == 2
+        assert [pthin_bound(q) for q in range(4)] == [1, 4, 12, 32]
+
+
+class TestInterleave:
+    def test_b_after_greatest_neighbour_isolated_last(self):
+        # A order a3 a1 a2; b1 ~ {a1, a3}, b2 isolated, b3 ~ {a2}, b4 ~ {a3}
+        g = BipartiteGraph(
+            3, 4, (frozenset({0, 2}), frozenset(), frozenset({1}), frozenset({2}))
+        )
+        assert interleave(g, [2, 0, 1]) == [2, 6, 0, 3, 1, 5, 4]
 
 
 class TestDecomposeConvex:
@@ -403,6 +428,14 @@ class TestDecompositionJson:
         back = decomposition_from_json(data, g)
         assert decomposition_to_json(back, g) == data
         assert width_of(g, back)[0] == width_of(g, d)[0]
+
+    def test_foreign_and_out_of_range_tokens_rejected(self):
+        g, w = gen_random_hconvex("path", 5, 4, 0)
+        data = decomposition_to_json(decompose_convex(g, w), g)
+        for bad in ("x1", "b5", "a0", "1"):
+            broken = {**data, "leaves": {**data["leaves"], "t1": bad}}
+            with pytest.raises(GraphFormatError):
+                decomposition_from_json(broken, g)
 
     def test_roundtrip_glued(self):
         g, host = spider_instance(3)

@@ -15,7 +15,13 @@ from gcwidth import (
     pattern_k3_s3,
     serialize_graph,
 )
-from gcwidth.graphs import complete_bipartite, cycle_graph, path_graph
+from gcwidth.graphs import (
+    complete_bipartite,
+    cycle_graph,
+    parse_vertex_token,
+    path_graph,
+    vertex_token,
+)
 from gcwidth.families import gen_crown, gen_random_hconvex
 
 from oracles import brute_has_induced_pattern, brute_is_chordal_bipartite
@@ -75,6 +81,37 @@ class TestParsing:
     def test_roundtrip_general(self):
         g = cycle_graph(6)
         assert parse_graph(serialize_graph(g)) == g
+
+
+class TestVertexTokens:
+    def test_roundtrip_both_kinds(self):
+        for g in (bip_c6(), path_graph(4)):
+            for v in range(g.n):
+                assert parse_vertex_token(g, vertex_token(g, v)) == v
+
+    @pytest.mark.parametrize(
+        "tok, kind",
+        [("x1", "token"), ("a", "token"), ("b1a", "token"), ("", "token"), (3, "token"),
+         ("a0", "range"), ("b4", "range"), ("a4", "range")],
+    )
+    def test_bipartite_rejects(self, tok, kind):
+        with pytest.raises(GraphFormatError) as err:
+            parse_vertex_token(bip_c6(), tok)
+        assert err.value.kind == kind
+
+    @pytest.mark.parametrize(
+        "tok, kind",
+        [("a1", "token"), ("-1", "token"), ("+2", "token"), ("1.0", "token"), (2, "token"),
+         ("0", "range"), ("5", "range")],
+    )
+    def test_general_rejects(self, tok, kind):
+        with pytest.raises(GraphFormatError) as err:
+            parse_vertex_token(path_graph(4), tok)
+        assert err.value.kind == kind
+
+    def test_graph_to_graph_is_identity(self):
+        g = path_graph(3)
+        assert g.to_graph() is g
 
 
 class TestHypergraph:
