@@ -310,6 +310,8 @@ def cmd_verify(args, g):
     measured = {}
     ok = True
     if args.witness:
+        if not isinstance(g, BipartiteGraph):
+            raise ValueError("witness verification needs a bipartite input")
         ok = verify_support(g, witness_from_json(_load_json(args.witness)))
         measured["witness_valid"] = ok
     elif args.decomposition:

@@ -51,18 +51,8 @@ def validate_decomposition(g: Graph | BipartiteGraph, d: BranchDecomposition) ->
         raise ValueError("empty decomposition tree")
     if len(t.edges) != t.n - 1:
         raise ValueError("decomposition tree is not a tree")
-    if t.n > 1:
-        seen = {0}
-        stack = [0]
-        adj = t.adjacency()
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != t.n:
-            raise ValueError("decomposition tree is disconnected")
+    if len(_preorder(t.adjacency(), 0)[0]) != t.n:
+        raise ValueError("decomposition tree is disconnected")
     leaves = d.leaves()
     deg = t.degree_sequence()
     for v in range(t.n):
@@ -167,19 +157,16 @@ def _max_independent_set(conflict: list[int], universe: int) -> int:
     return chosen
 
 
-def _mim_pair(adj_masks, edges, xmask: int, ymask: int, mode: str):
+def _mim_pair(adj_masks, xmask: int, ymask: int, mode: str):
     """Maximum induced matching between the disjoint vertex sets X and Y.
 
     mode "mim": the matching must be induced in the cut graph (only X-Y
-    edges forbid pairs); mode "sim": induced in the whole graph.
-    Returns (size, tuple of matching edges).
+    edges forbid pairs); mode "sim": induced in the whole graph.  X-Y edges
+    are read off the smaller side.  Returns (size, tuple of matching edges).
     """
-    cross = []
-    for u, v in edges:
-        if (xmask >> u) & 1 and (ymask >> v) & 1:
-            cross.append((u, v))
-        elif (ymask >> u) & 1 and (xmask >> v) & 1:
-            cross.append((v, u))
+    small, big = (xmask, ymask) if xmask.bit_count() <= ymask.bit_count() else (ymask, xmask)
+    cross = sorted((min(u, v), max(u, v)) for u in _bits(small) for v in _bits(adj_masks[u] & big))
+    cross = [(u, v) if (xmask >> u) & 1 else (v, u) for u, v in cross]
     m = len(cross)
     if m == 0:
         return 0, ()
@@ -205,10 +192,6 @@ def _mim_pair(adj_masks, edges, xmask: int, ymask: int, mode: str):
     return len(witness), witness
 
 
-def _prep(g: Graph):
-    return g.adjacency_masks(), sorted(g.edges)
-
-
 def _max_induced_matching(g: Graph, side, mode: str) -> tuple[int, tuple]:
     xmask = 0
     for v in side:
@@ -216,8 +199,7 @@ def _max_induced_matching(g: Graph, side, mode: str) -> tuple[int, tuple]:
             raise ValueError(f"vertex {v} out of range")
         xmask |= 1 << v
     ymask = ((1 << g.n) - 1) & ~xmask
-    adj, edges = _prep(g)
-    return _mim_pair(adj, edges, xmask, ymask, mode)
+    return _mim_pair(g.adjacency_masks(), xmask, ymask, mode)
 
 
 def max_induced_matching_cut(g: Graph, side) -> tuple[int, tuple]:
@@ -234,19 +216,20 @@ def max_induced_matching_sim(g: Graph, side) -> tuple[int, tuple]:
 # width of a decomposition
 
 
-def _tree_side(adj: list[set[int]] | dict, u: int, v: int) -> set[int]:
-    """Nodes of the component containing u after deleting edge (u,v)."""
-    seen = {u}
-    stack = [u]
+def _preorder(adj, root: int):
+    """DFS preorder of the root's tree (component) under adj, and each node's
+    parent (root: -1).  Each subtree is a contiguous block; no recursion."""
+    order = []
+    parent = {root: -1}
+    stack = [root]
     while stack:
         x = stack.pop()
+        order.append(x)
         for y in adj[x]:
-            if {x, y} == {u, v}:
-                continue
-            if y not in seen:
-                seen.add(y)
+            if y not in parent:
+                parent[y] = x
                 stack.append(y)
-    return seen
+    return order, parent
 
 
 def width_of(g: Graph | BipartiteGraph, d: BranchDecomposition, mode: str = "mim"):
@@ -254,7 +237,9 @@ def width_of(g: Graph | BipartiteGraph, d: BranchDecomposition, mode: str = "mim
 
     Ties go to the first edge in canonical (sorted) tree-edge order.  All
     edges are included: leaf edges contribute at most 1.
-    Returns (width, CutReport or None for edgeless trees).
+    Returns (width, CutReport or None for edgeless trees).  Cost: one rooted
+    pass over the tree; per tree edge, its side as a bitmask in O(1), a scan
+    of the smaller side's adjacency for the cut edges and an exact MIS.
     """
     if mode not in ("mim", "sim"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -262,22 +247,24 @@ def width_of(g: Graph | BipartiteGraph, d: BranchDecomposition, mode: str = "mim
     validate_decomposition(gg, d)
     if not d.tree.edges:
         return 0, None
-    adj_masks, edges = _prep(gg)
-    tree_adj = d.tree.adjacency()
+    adj_masks = gg.adjacency_masks()
+    order, parent = _preorder(d.tree.adjacency(), 0)
+    # below[x]: the graph vertices on the leaves of x's subtree
+    below = [0] * d.tree.n
+    for node, v in d.leaf_map.items():
+        below[node] = 1 << v
+    for x in reversed(order[1:]):
+        below[parent[x]] |= below[x]
     full = (1 << gg.n) - 1
     best = -1
     best_report = None
     for (u, v) in sorted(d.tree.edges):
-        side_nodes = _tree_side(tree_adj, u, v)
-        xmask = 0
-        for node in side_nodes:
-            if node in d.leaf_map:
-                xmask |= 1 << d.leaf_map[node]
-        value, _ = _mim_pair(adj_masks, edges, xmask, full & ~xmask, mode)
+        # the side of u: u's subtree when u is the child, else all but v's
+        xmask = below[u] if parent[u] == v else full & ~below[v]
+        value, _ = _mim_pair(adj_masks, xmask, full & ~xmask, mode)
         if value > best:
             best = value
-            side = tuple(sorted(_bits(xmask)))
-            best_report = CutReport((u, v), side, value)
+            best_report = CutReport((u, v), tuple(_bits(xmask)), value)
     return best, best_report
 
 
@@ -293,13 +280,13 @@ def _min_width_over_trees(g: Graph, mode: str, guard: int):
         raise SizeGuardError(f"{n} vertices exceeds oracle guard {guard}")
     if n == 1:
         return 0, BranchDecomposition(Graph(1, frozenset()), {0: 0}, True, ())
-    adj_masks, edges = _prep(g)
+    adj_masks = g.adjacency_masks()
     memo: dict[tuple[int, int], int] = {}
 
     def cutv(xmask, ymask):
         key = (xmask, ymask) if xmask <= ymask else (ymask, xmask)
         if key not in memo:
-            memo[key] = _mim_pair(adj_masks, edges, xmask, ymask, mode)[0]
+            memo[key] = _mim_pair(adj_masks, xmask, ymask, mode)[0]
         return memo[key]
 
     start = caterpillar_from_ordering(range(n))
@@ -309,19 +296,17 @@ def _min_width_over_trees(g: Graph, mode: str, guard: int):
         return best_val, best_tree
 
     def partial_width(tadj, placed_mask, stop_at):
+        # reverse preorder: below[x] is complete when the edge above x comes up
         worst = 0
-        todo = [(u, v) for u in tadj for v in tadj[u] if u < v]
-        for u, v in todo:
-            side = _tree_side(tadj, u, v)
-            xmask = 0
-            for node in side:
-                if node < n and (placed_mask >> node) & 1:
-                    xmask |= 1 << node
-            val = cutv(xmask, placed_mask & ~xmask)
+        order, parent = _preorder(tadj, 0)
+        below = {x: (1 << x) & placed_mask if x < n else 0 for x in order}
+        for x in reversed(order[1:]):
+            val = cutv(below[x], placed_mask & ~below[x])
             if val > worst:
                 worst = val
                 if worst >= stop_at:
                     return worst
+            below[parent[x]] |= below[x]
         return worst
 
     def insert(k, tadj, next_internal, placed_mask):
@@ -540,8 +525,14 @@ def decompose_spider(g: BipartiteGraph, w: SupportWitness) -> BranchDecompositio
         return decompose_convex(g, _path_witness(w.path_order()))
     u = branching[0]
     adj = w.host_adjacency()
-    # the components of the host minus u, one behind each edge at u
-    comps = sorted((_tree_side(adj, c, u) for c in adj[u]), key=min)
+    # the components of the host minus u: one preorder block per child of u
+    order, parent = _preorder(adj, u)
+    comps = []
+    for x in order[1:]:
+        if parent[x] == u:
+            comps.append(set())
+        comps[-1].add(x)
+    comps.sort(key=min)
 
     b_prime, b_rest = [], []
     b_of_comp: list[list[int]] = [[] for _ in comps]
@@ -606,26 +597,30 @@ def decompose_tdelta(
         return decompose_spider(g, w)
 
     adj = w.host_adjacency()
-
-    def side_branchings(side):
-        count = 0
-        for v in side:
-            d = sum(1 for x in adj[v] if x in side)
-            if d >= 3:
-                count += 1
-        return count
-
+    order, parent = _preorder(adj, w.vertices[0])
+    # size and number of host-branching vertices of every subtree
+    size = dict.fromkeys(order, 1)
+    count = {x: int(len(adj[x]) >= 3) for x in order}
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+        count[parent[x]] += count[x]
     best = None
     for (u, v) in sorted(w.host_edges):
-        side_u = _tree_side(adj, u, v)
-        side_v = set(w.vertices) - side_u
-        t1, t2 = side_branchings(side_u), side_branchings(side_v)
-        key = (max(t1, t2), (u, v))
-        if max(t1, t2) < t and (best is None or key < best[0]):
-            best = (key, (u, v), side_u, side_v)
+        # cutting child c from parent p takes one neighbour from each: an
+        # end of host degree exactly 3 stops branching on its side
+        c, p = (u, v) if parent[u] == v else (v, u)
+        t_c = count[c] - (len(adj[c]) == 3)
+        t_p = t - count[c] - (len(adj[p]) == 3)
+        key = (max(t_c, t_p), (u, v))
+        if key[0] < t and (best is None or key < best[0]):
+            best = (key, c)
     if best is None:
         raise AssertionError("no splitting edge despite multiple branchings")
-    _, (u, v), a1, a2 = best
+    (_, (u, v)), c = best
+    i = order.index(c)
+    subtree = set(order[i : i + size[c]])
+    rest = set(w.vertices) - subtree
+    a1, a2 = (subtree, rest) if c == u else (rest, subtree)
 
     b1 = [g.a_size + j for j, nb in enumerate(g.adj) if nb & a1]
     b2 = [g.a_size + j for j, nb in enumerate(g.adj) if not (nb & a1)]
@@ -684,16 +679,19 @@ def decomposition_to_json(d: BranchDecomposition, g) -> dict:
 
 
 def decomposition_from_json(data: dict, g) -> BranchDecomposition:
-    leaf_names = sorted(data["leaves"], key=lambda s: int(s[1:]))
+    leaves, tree_edges, spine = data["leaves"], data["tree_edges"], data.get("spine", [])
+    pairs = isinstance(tree_edges, list) and all(isinstance(e, list) and len(e) == 2 for e in tree_edges)
+    names = [nm for e in tree_edges for nm in e] if pairs else []
+    if not (pairs and isinstance(leaves, dict) and isinstance(spine, list)
+            and all(isinstance(nm, str) for nm in names + spine)):
+        raise ValueError("decomposition needs leaves {name: token}, tree_edges [[name, name]], spine [name]")
+    leaf_names = sorted(leaves, key=lambda s: int(s[1:]))
     ids = {nm: i for i, nm in enumerate(leaf_names)}
-    internal_names = sorted(
-        {nm for e in data["tree_edges"] for nm in e if nm not in ids},
-        key=lambda s: int(s[1:]),
-    )
+    internal_names = sorted({nm for nm in names if nm not in ids}, key=lambda s: int(s[1:]))
     for nm in internal_names:
         ids[nm] = len(ids)
-    edges = [(ids[a], ids[b]) for a, b in data["tree_edges"]]
+    edges = [(ids[a], ids[b]) for a, b in tree_edges]
     tree = Graph.make(max(len(ids), 1), edges)
-    leaf_map = {ids[nm]: parse_vertex_token(g, tok) for nm, tok in data["leaves"].items()}
-    spine = tuple(ids[nm] for nm in data.get("spine", []))
+    leaf_map = {ids[nm]: parse_vertex_token(g, tok) for nm, tok in leaves.items()}
+    spine = tuple(ids[nm] for nm in spine)
     return BranchDecomposition(tree, leaf_map, bool(data.get("linear", False)), spine)

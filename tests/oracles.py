@@ -286,3 +286,71 @@ def brute_has_induced_pattern(gn, g_edges, pn, p_edges):
             if ok:
                 return True
     return False
+
+
+# --- width of a decomposition and the (t,delta) split ------------------------
+
+
+def _component_without_edge(adj, start, cut):
+    """Nodes reachable from start when the edge `cut` is deleted."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if {x, y} != set(cut) and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def brute_width(n, edges, tree_edges, leaf_map, mode):
+    """Width of a branch decomposition by deleting each tree edge in turn.
+
+    Walks the side of the smaller endpoint u of every tree edge (u, v), in
+    sorted order, and measures the cut with brute_max_induced_matching; the
+    first edge reaching the maximum wins.  Returns (width, (edge, side)), or
+    (0, None) for an edgeless tree.
+    """
+    adj = {}
+    for u, v in tree_edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    best, report = 0, None
+    for u, v in sorted((min(e), max(e)) for e in tree_edges):
+        nodes = _component_without_edge(adj, u, (u, v))
+        side = tuple(sorted(leaf_map[x] for x in nodes if x in leaf_map))
+        value = brute_max_induced_matching(n, edges, side, mode)
+        if report is None or value > best:
+            best, report = value, ((u, v), side)
+    return best, report
+
+
+def tdelta_split(vertices, host_edges):
+    """The (t,delta) split edge by the per-edge search of the original
+    construction: delete each host edge in sorted order, walk both sides and
+    count the vertices of degree >= 3 inside each; the least larger count
+    below t wins, ties to the first edge.
+
+    Returns (edge, side of its smaller endpoint, other side), or None when no
+    edge lowers the count on both sides.
+    """
+    adj = {v: set() for v in vertices}
+    for u, v in host_edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def branchings(side):
+        return sum(1 for x in side if len(adj[x] & side) >= 3)
+
+    t = branchings(set(vertices))
+    best = None
+    for u, v in sorted(host_edges):
+        side_u = _component_without_edge(adj, u, (u, v))
+        side_v = set(vertices) - side_u
+        key = (max(branchings(side_u), branchings(side_v)), (u, v))
+        if key[0] < t and (best is None or key < best[0]):
+            best = (key, side_u, side_v)
+    if best is None:
+        return None
+    return best[0][1], best[1], best[2]

@@ -342,6 +342,34 @@ class TestInputValidation:
         assert_rejected(tmp_path, capsys, "width", "--decomposition", str(bad), graph)
         assert_rejected(tmp_path, capsys, "verify", "--decomposition", str(bad), graph)
 
+    def test_malformed_decomposition_shapes(self, tmp_path, capsys):
+        graph, _, dec = self.crown_artifacts(tmp_path)
+        data = json.loads(dec.read_text())
+        edges = data["tree_edges"]
+        for key, value in (
+            ("leaves", sorted(data["leaves"].values())),
+            ("leaves", "t1"),
+            ("tree_edges", {"e": edges}),
+            ("tree_edges", [e[0] for e in edges]),
+            ("tree_edges", [edges[0] + edges[1]] + edges[2:]),
+            ("tree_edges", [[1, 2]] + edges[1:]),
+            ("tree_edges", 7),
+            ("spine", "s1"),
+            ("spine", [data["spine"]]),
+        ):
+            bad = tmp_path / "bad.decomposition.json"
+            bad.write_text(json.dumps({**data, key: value}))
+            for cmd in ("width", "verify"):
+                err = assert_rejected(tmp_path, capsys, cmd, "--decomposition", str(bad), graph)
+                assert "decomposition needs" in err
+
+    def test_witness_on_general_graph(self, tmp_path, capsys):
+        _, witness, _ = self.crown_artifacts(tmp_path)
+        f = tmp_path / "p3.graph"
+        f.write_text("graph 3\ne 1 2\ne 2 3\n")
+        err = assert_rejected(tmp_path, capsys, "verify", "--witness", witness, str(f))
+        assert "witness verification needs a bipartite input" in err
+
     def test_x_tokens_in_representation(self, tmp_path, capsys):
         g, w = gen_random_hconvex("tree", 6, 6, 1, t=1, delta=3)
         f = write_graph(tmp_path, g)

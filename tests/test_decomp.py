@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from gcwidth import (
     BipartiteGraph,
+    BranchDecomposition,
     Graph,
     SizeGuardError,
     SupportWitness,
@@ -15,10 +17,12 @@ from gcwidth import (
     decomposition_from_json,
     decomposition_to_json,
     glue_multijoin,
+    induced_subgraph,
     max_induced_matching_cut,
     max_induced_matching_sim,
     mimw_oracle,
     multijoin_bound,
+    restrict_support,
     simw_oracle,
     spider_bound,
     tdelta_bound,
@@ -29,7 +33,7 @@ from gcwidth.decomp import construction_bound, interleave, pthin_bound, thin_bou
 from gcwidth.graphs import GraphFormatError, complete_bipartite, cycle_graph, path_graph
 from gcwidth.families import gen_crown, gen_random_hconvex
 
-from oracles import brute_max_induced_matching
+from oracles import brute_max_induced_matching, brute_width, tdelta_split
 
 
 def random_graph(rng, n, p=0.4):
@@ -155,6 +159,52 @@ class TestWidthOf:
         d = caterpillar_from_ordering(range(4))
         with pytest.raises(ValueError):
             width_of(g, d)
+
+    def test_matches_brute_force_on_random_subcubic_trees(self):
+        rng = random.Random(41)
+        cases = [caterpillar_from_ordering([0]), caterpillar_from_ordering([1, 0])]
+        cases += [random_subcubic_decomposition(rng, rng.randint(1, 10)) for _ in range(150)]
+        for d in cases:
+            n = len(d.leaf_map)
+            g = random_graph(rng, n, rng.choice((0.2, 0.35)))
+            for mode in ("mim", "sim"):
+                value, report = width_of(g, d, mode)
+                want, want_report = brute_width(n, g.edges, d.tree.edges, d.leaf_map, mode)
+                assert value == want
+                assert (report and (report.edge, report.side)) == want_report
+
+    def test_spine_deeper_than_recursion_limit(self):
+        n = 1200
+        assert n > sys.getrecursionlimit()
+        g = path_graph(n)
+        d = caterpillar_from_ordering(range(n))
+        validate_decomposition(g, d)
+        assert width_of(g, d)[0] == 1
+
+
+def random_subcubic_decomposition(rng, n):
+    """Branch decomposition of n vertices on a random tree whose internal
+    nodes have degree 3 or, after extra subdivisions, 2; node ids and the
+    leaf map are shuffled."""
+    if n == 1:
+        return BranchDecomposition(Graph(1, frozenset()), {0: 0})
+    edges, leaves = [(0, 1)], [0, 1]
+    size = 2
+    while len(leaves) < n:
+        u, v = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, size), (size, v), (size, size + 1)]
+        leaves.append(size + 1)
+        size += 2
+    for _ in range(rng.randrange(3)):
+        u, v = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, size), (size, v)]
+        size += 1
+    ids = list(range(size))
+    rng.shuffle(ids)
+    vertices = list(range(n))
+    rng.shuffle(vertices)
+    tree = Graph.make(size, [(ids[u], ids[v]) for u, v in edges])
+    return BranchDecomposition(tree, {ids[leaf]: x for leaf, x in zip(leaves, vertices)})
 
 
 class TestOracles:
@@ -407,6 +457,48 @@ class TestDecomposeTdelta:
         assert trace, "expected at least one split"
         for level in trace:
             assert level["cut"] <= level["delta"] * (level["t"] - 1)
+
+    def test_split_choice_matches_per_edge_search(self):
+        split_degrees = set()
+        for t in range(2, 6):
+            for delta in range(3, 6):
+                for seed in range(3):
+                    g, w = gen_random_hconvex("tree", 30, 20, seed, t=t, delta=delta)
+                    trace, want_trace = [], []
+                    got = decompose_tdelta(g, w, trace)
+                    want = reference_tdelta(g, w, want_trace, split_degrees)
+                    assert decomposition_to_json(got, g) == decomposition_to_json(want, g)
+                    assert trace == want_trace
+        assert {3, 4} <= split_degrees
+
+
+def reference_tdelta(g, w, trace, split_degrees):
+    """decompose_tdelta with every split chosen by oracles.tdelta_split;
+    records the host degrees of the split edges' ends in split_degrees."""
+    t = len(w.branching)
+    if t <= 1:
+        return decompose_spider(g, w)
+    (u, v), a1, a2 = tdelta_split(w.vertices, w.host_edges)
+    deg = w.degrees()
+    split_degrees.update((deg[u], deg[v]))
+    b1 = [g.a_size + j for j, nb in enumerate(g.adj) if nb & a1]
+    b2 = [g.a_size + j for j, nb in enumerate(g.adj) if not (nb & a1)]
+    x1, x2 = sorted(a1) + b1, sorted(a2) + b2
+    cut, _ = max_induced_matching_cut(g.to_graph(), x1)
+    trace.append({"t": t, "delta": w.max_degree, "cut": cut, "bound": w.max_degree * (t - 1)})
+    decomps = []
+    for part, a_side in ((x1, a1), (x2, a2)):
+        sub, mapping = induced_subgraph(g, part)
+        host = restrict_support(w, a_side)
+        local_edges = frozenset(
+            (min(mapping[p], mapping[q]), max(mapping[p], mapping[q])) for p, q in host.host_edges
+        )
+        local_w = SupportWitness(host.kind, tuple(sorted(mapping[a] for a in a_side)), local_edges)
+        d = reference_tdelta(sub, local_w, trace, split_degrees)
+        inverse = {new: old for old, new in mapping.items()}
+        leaf_map = {leaf: inverse[x] for leaf, x in d.leaf_map.items()}
+        decomps.append(BranchDecomposition(d.tree, leaf_map, d.linear, d.spine))
+    return glue_multijoin(g.to_graph(), [x1, x2], decomps)
 
 
 class TestConstructionsNeverBeatOracle:
