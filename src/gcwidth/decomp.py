@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .graphs import BipartiteGraph, Graph, induced_subgraph, parse_vertex_token, vertex_token
+from .graphs import BipartiteGraph, Graph, _str_list, induced_subgraph, parse_vertex_token, vertex_token
 from .supports import SupportWitness, _walk_path, restrict_support, verify_support
 
 
@@ -292,7 +292,8 @@ def _min_width_over_trees(g: Graph, mode: str, guard: int):
     start = caterpillar_from_ordering(range(n))
     best_val, _ = width_of(g, start, mode)
     best_tree = start
-    if n == 2:
+    # no tree beats the trivial lower bound: 0 without edges, otherwise 1
+    if n == 2 or best_val == min(len(g.edges), 1):
         return best_val, best_tree
 
     def partial_width(tadj, placed_mask, stop_at):
@@ -680,11 +681,10 @@ def decomposition_to_json(d: BranchDecomposition, g) -> dict:
 
 def decomposition_from_json(data: dict, g) -> BranchDecomposition:
     leaves, tree_edges, spine = data["leaves"], data["tree_edges"], data.get("spine", [])
-    pairs = isinstance(tree_edges, list) and all(isinstance(e, list) and len(e) == 2 for e in tree_edges)
-    names = [nm for e in tree_edges for nm in e] if pairs else []
-    if not (pairs and isinstance(leaves, dict) and isinstance(spine, list)
-            and all(isinstance(nm, str) for nm in names + spine)):
+    if not (isinstance(leaves, dict) and isinstance(tree_edges, list)
+            and all(_str_list(e, 2) for e in tree_edges) and _str_list(spine)):
         raise ValueError("decomposition needs leaves {name: token}, tree_edges [[name, name]], spine [name]")
+    names = [nm for e in tree_edges for nm in e]
     leaf_names = sorted(leaves, key=lambda s: int(s[1:]))
     ids = {nm: i for i, nm in enumerate(leaf_names)}
     internal_names = sorted({nm for nm in names if nm not in ids}, key=lambda s: int(s[1:]))

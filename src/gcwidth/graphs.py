@@ -166,6 +166,11 @@ def parse_vertex_token(g, tok) -> int:
     return int(tok) - 1
 
 
+def _str_list(x, length: int | None = None) -> bool:
+    """x is a JSON list of strings, of the given length when one is given."""
+    return isinstance(x, list) and all(isinstance(t, str) for t in x) and length in (None, len(x))
+
+
 def parse_graph(text: str | bytes):
     """Parse the graph file format; returns Graph or BipartiteGraph.
 

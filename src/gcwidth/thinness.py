@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 from .decomp import BranchDecomposition, SizeGuardError, _bits, caterpillar_from_ordering, interleave
-from .graphs import BipartiteGraph, Graph, parse_vertex_token, vertex_token
+from .graphs import BipartiteGraph, Graph, _str_list, parse_vertex_token, vertex_token
 from .supports import SupportWitness, verify_support
 
 
@@ -184,88 +184,61 @@ def linear_bd_from_thin(g: Graph | BipartiteGraph, r: ThinRepresentation) -> Bra
 # exact oracles
 
 
-def _feasible(n: int, adj: list[int], k: int, proper: bool) -> bool:
-    """Is there a (strongly) consistent ordering + partition into <= k classes?
+def _placement(n: int, adj: list[int], k: int, proper: bool) -> ThinRepresentation | None:
+    """A (strongly) consistent representation with <= k classes, or None.
 
-    Left-to-right DP over placement states.  Per class the state keeps the
-    unplaced neighbours of its placed members (consistency forces them onto
-    every later member) and, for proper thinness, the placed non-neighbours
-    that any later member must avoid.  Classes whose state is empty behave
-    exactly like unopened ones, so only nontrivial class states are kept,
-    together with the least total number of classes used so far.
+    Depth-first search over placement states, left to right.  One mask per
+    class holds in its low n bits the unplaced neighbours of the placed
+    members (consistency forces them onto every later member) and, for proper
+    thinness, in its high n bits the placed non-neighbours that any later
+    member must avoid (always 0 for thinness).  Classes whose mask is empty
+    behave exactly like unopened ones, so a state is the placed set plus the
+    sorted nonzero masks; it is pushed again only with fewer classes used.
+    Class labels and the placement path ride beside the state, so the first
+    complete placement gives the representation.
     """
     full = (1 << n) - 1
-    closed = [adj[v] | (1 << v) for v in range(n)]
-    states: dict[tuple[int, tuple], int] = {(0, ()): 0}
-    for _ in range(n):
-        nxt: dict[tuple[int, tuple], int] = {}
-
-        def push(placed, fronts, count):
-            key = (placed, fronts)
-            old = nxt.get(key)
-            if old is None or count < old:
-                nxt[key] = count
-
-        for (placed, fronts), count in states.items():
-            remaining = full & ~placed
-            for v in _bits(remaining):
-                bit = 1 << v
-                nplaced = placed | bit
-                rest = full & ~nplaced
-                nb = adj[v]
-                opened = len(fronts)
-                fresh_ok = count > opened or count < k
-                fresh_count = count if count > opened else count + 1
-                if proper:
-                    live = 0
-                    for u in _bits(rest):
-                        live |= adj[u]
-                    # vertices in a bad-set only matter while they still
-                    # have unplaced neighbours
-                    trimmed = [
-                        (u_mask & rest, bad_mask & live) for u_mask, bad_mask in fronts
-                    ]
-                    bad_new = placed & ~nb & live
-                    for i, (u_mask, bad_mask) in enumerate(fronts):
-                        if u_mask & ~closed[v] or bad_mask & nb:
-                            continue
-                        ent = ((u_mask | nb) & rest, (bad_mask & live) | bad_new)
-                        others = [
-                            trimmed[j]
-                            for j in range(opened)
-                            if j != i and trimmed[j] != (0, 0)
-                        ]
-                        if ent != (0, 0):
-                            others.append(ent)
-                        push(nplaced, tuple(sorted(others)), count)
-                    if fresh_ok:
-                        ent = (nb & rest, bad_new)
-                        others = [x for x in trimmed if x != (0, 0)]
-                        if ent != (0, 0):
-                            others.append(ent)
-                        push(nplaced, tuple(sorted(others)), fresh_count)
-                else:
-                    trimmed = [u_mask & rest for u_mask in fronts]
-                    for i, u_mask in enumerate(fronts):
-                        if u_mask & ~closed[v]:
-                            continue
-                        ent = (u_mask | nb) & rest
-                        others = [
-                            trimmed[j] for j in range(opened) if j != i and trimmed[j]
-                        ]
-                        if ent:
-                            others.append(ent)
-                        push(nplaced, tuple(sorted(others)), count)
-                    if fresh_ok:
-                        ent = nb & rest
-                        others = [x for x in trimmed if x]
-                        if ent:
-                            others.append(ent)
-                        push(nplaced, tuple(sorted(others)), fresh_count)
-        states = nxt
-        if not states:
-            return False
-    return bool(states)
+    # masks v may not join: an unplaced neighbour of a member that v misses,
+    # or an avoided vertex adjacent to v
+    blocked = [(full & ~adj[v] & ~(1 << v)) | (adj[v] << n) for v in range(n)]
+    lives: dict[int, int] = {}
+    least = {(0, ()): 0}
+    stack: list[tuple] = [(0, (), (), 0, None)]  # placed, masks, labels, classes used, path
+    while stack:
+        placed, masks, labels, count, path = stack.pop()
+        if placed == full:
+            order, classes = [], {}
+            while path:
+                v, label, path = path
+                order.append(v)
+                classes.setdefault(label, set()).add(v)
+            return ThinRepresentation(tuple(reversed(order)), tuple(map(frozenset, classes.values())), proper)
+        if least[placed, masks] < count:
+            continue
+        # a fresh class reuses the label of a class whose mask went empty
+        free = min(set(range(count)) - set(labels), default=count)
+        fresh_count = count + (free == count)
+        for v in reversed(list(_bits(full & ~placed))):
+            nplaced = placed | (1 << v)
+            rest = full & ~nplaced
+            if proper and nplaced not in lives:
+                lives[nplaced] = 0
+                for u in _bits(rest):
+                    lives[nplaced] |= adj[u]
+            live = lives.get(nplaced, 0)
+            keep = rest | (live << n)
+            grown = adj[v] | ((placed & ~adj[v] & live) << n)
+            trimmed = [(m & keep, label) for m, label in zip(masks, labels)]
+            moves = [(i, (m | grown) & keep, labels[i], count) for i, m in enumerate(masks) if not m & blocked[v]]
+            if fresh_count <= k:
+                moves.append((-1, grown & keep, free, fresh_count))
+            for i, m, label, ncount in reversed(moves):
+                kept = sorted([t for j, t in enumerate(trimmed) if j != i and t[0]] + ([(m, label)] if m else []))
+                key = (nplaced, tuple(t[0] for t in kept))
+                if least.get(key, k + 1) > ncount:
+                    least[key] = ncount
+                    stack.append((*key, tuple(t[1] for t in kept), ncount, (v, label, path)))
+    return None
 
 
 def thin_oracle(g: Graph | BipartiteGraph, guard: int = 13) -> int:
@@ -286,8 +259,12 @@ def _thinness_value(g, guard: int, proper: bool) -> int:
     if n > guard:
         raise SizeGuardError(f"{n} vertices exceeds oracle guard {guard}")
     adj = gg.adjacency_masks()
+    verify = verify_strongly_consistent if proper else verify_consistent
     for k in range(1, n + 1):
-        if _feasible(n, adj, k, proper):
+        r = _placement(n, adj, k, proper)
+        if r is not None:
+            if r.class_count() > k or not verify(gg, r):
+                raise AssertionError(f"placement found with {k} classes fails the verifier")
             return k
     raise AssertionError("singleton classes are always feasible")
 
@@ -414,6 +391,11 @@ def representation_to_json(r: ThinRepresentation, g) -> dict:
 
 
 def representation_from_json(data: dict, g) -> ThinRepresentation:
-    order = tuple(parse_vertex_token(g, t) for t in data["order"])
-    classes = tuple(frozenset(parse_vertex_token(g, t) for t in c) for c in data["classes"])
-    return ThinRepresentation(order, classes, bool(data.get("strong", False)))
+    order, classes = data["order"], data["classes"]
+    if not (_str_list(order) and isinstance(classes, list) and all(_str_list(c) for c in classes)):
+        raise ValueError("representation needs order [token], classes [[token]]")
+    return ThinRepresentation(
+        tuple(parse_vertex_token(g, t) for t in order),
+        tuple(frozenset(parse_vertex_token(g, t) for t in c) for c in classes),
+        bool(data.get("strong", False)),
+    )

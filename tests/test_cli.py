@@ -363,6 +363,51 @@ class TestInputValidation:
                 err = assert_rejected(tmp_path, capsys, cmd, "--decomposition", str(bad), graph)
                 assert "decomposition needs" in err
 
+    def test_malformed_witness_shapes(self, tmp_path, capsys):
+        graph, witness, _ = self.crown_artifacts(tmp_path)
+        data = json.loads(Path(witness).read_text())
+        edges = data["host_edges"]
+        for key, value in (
+            ("vertices", 5),
+            ("vertices", "a1"),
+            ("vertices", [1, 2]),
+            ("host_edges", 5),
+            ("host_edges", [e[0] for e in edges]),
+            ("host_edges", [edges[0] + edges[1]] + edges[2:]),
+            ("host_edges", [[1, 2]] + edges[1:]),
+            ("kind", ["cycle"]),
+            ("kind", 5),
+        ):
+            bad = tmp_path / "bad.witness.json"
+            bad.write_text(json.dumps({**data, key: value}))
+            for argv in (
+                ("verify", "--witness", str(bad), graph),
+                ("decompose", "--class", "circular", "--witness", str(bad), graph),
+            ):
+                err = assert_rejected(tmp_path, capsys, *argv)
+                assert "witness needs" in err
+
+    def test_malformed_representation_shapes(self, tmp_path, capsys):
+        g, w = gen_random_hconvex("tree", 6, 6, 1, t=1, delta=3)
+        f = write_graph(tmp_path, g)
+        from gcwidth import representation_to_json, thin_from_tree_support
+
+        data = representation_to_json(thin_from_tree_support(g, w), g)
+        for key, value in (
+            ("order", 5),
+            ("order", "a1"),
+            ("order", [1, 2]),
+            ("classes", 5),
+            ("classes", data["order"]),
+            ("classes", [[1]]),
+            ("classes", {"c": data["classes"]}),
+        ):
+            rf = tmp_path / "rep.json"
+            rf.write_text(json.dumps({**data, key: value}))
+            for strong in ((), ("--strong",)):
+                err = assert_rejected(tmp_path, capsys, "verify", "--representation", str(rf), *strong, f)
+                assert "representation needs" in err
+
     def test_witness_on_general_graph(self, tmp_path, capsys):
         _, witness, _ = self.crown_artifacts(tmp_path)
         f = tmp_path / "p3.graph"

@@ -24,6 +24,7 @@ from gcwidth import (
     verify_strongly_consistent,
     width_of,
 )
+from gcwidth import thinness
 from gcwidth.graphs import complete_bipartite, cycle_graph, path_graph
 from gcwidth.families import gen_crown, gen_gk, gen_random_hconvex
 
@@ -145,6 +146,46 @@ class TestThinOracle:
             n = rng.randint(1, 6)
             g = random_graph(rng, n)
             assert pthin_oracle(g) == brute_thinness(n, g.edges, proper=True)
+
+    @pytest.mark.parametrize("proper", [False, True])
+    def test_matches_brute_force_up_to_7(self, proper):
+        rng = random.Random(707 + proper)
+        for _ in range(20):
+            n = rng.randint(3, 7)
+            g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+            oracle = pthin_oracle if proper else thin_oracle
+            assert oracle(g) == brute_thinness(n, g.edges, proper=proper)
+
+    @pytest.mark.parametrize("proper", [False, True])
+    def test_placement_is_a_certificate(self, proper):
+        rng = random.Random(99 + proper)
+        graphs = [cycle_graph(5), gen_crown(3)[0].to_graph(), gen_gk(2).to_graph()]
+        graphs += [random_graph(rng, rng.randint(2, 8)) for _ in range(20)]
+        verify = verify_strongly_consistent if proper else verify_consistent
+        for g in graphs:
+            value = (pthin_oracle if proper else thin_oracle)(g)
+            adj = g.adjacency_masks()
+            r = thinness._placement(g.n, adj, value, proper)
+            assert r is not None and r.strong == proper
+            assert r.class_count() <= value and verify(g, r)
+            if value > 1:
+                assert thinness._placement(g.n, adj, value - 1, proper) is None
+
+    def test_rejected_certificate_raises(self, monkeypatch):
+        for name, oracle in (("verify_consistent", thin_oracle), ("verify_strongly_consistent", pthin_oracle)):
+            with monkeypatch.context() as m:
+                m.setattr(thinness, name, lambda g, r: False)
+                with pytest.raises(AssertionError, match="fails the verifier"):
+                    oracle(cycle_graph(4))
+
+    def test_certificate_over_class_count_raises(self, monkeypatch):
+        def singletons(n, adj, k, proper):
+            return ThinRepresentation(tuple(range(n)), tuple(frozenset([v]) for v in range(n)), proper)
+
+        monkeypatch.setattr(thinness, "_placement", singletons)
+        for oracle in (thin_oracle, pthin_oracle):
+            with pytest.raises(AssertionError, match="fails the verifier"):
+                oracle(cycle_graph(4))
 
     def test_thin_le_pthin(self):
         rng = random.Random(55)
