@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .graphs import BipartiteGraph, Graph, _str_list, induced_subgraph, parse_vertex_token, vertex_token
+from .graphs import BipartiteGraph, Graph, _str_list, _str_lists, induced_subgraph, parse_vertex_token, vertex_token
 from .supports import SupportWitness, _walk_path, restrict_support, verify_support
 
 
@@ -681,8 +681,7 @@ def decomposition_to_json(d: BranchDecomposition, g) -> dict:
 
 def decomposition_from_json(data: dict, g) -> BranchDecomposition:
     leaves, tree_edges, spine = data["leaves"], data["tree_edges"], data.get("spine", [])
-    if not (isinstance(leaves, dict) and isinstance(tree_edges, list)
-            and all(_str_list(e, 2) for e in tree_edges) and _str_list(spine)):
+    if not (isinstance(leaves, dict) and _str_lists(tree_edges, 2) and _str_list(spine)):
         raise ValueError("decomposition needs leaves {name: token}, tree_edges [[name, name]], spine [name]")
     names = [nm for e in tree_edges for nm in e]
     leaf_names = sorted(leaves, key=lambda s: int(s[1:]))

@@ -166,9 +166,15 @@ def parse_vertex_token(g, tok) -> int:
     return int(tok) - 1
 
 
-def _str_list(x, length: int | None = None) -> bool:
-    """x is a JSON list of strings, of the given length when one is given."""
-    return isinstance(x, list) and all(isinstance(t, str) for t in x) and length in (None, len(x))
+def _str_list(x) -> bool:
+    """x is a JSON list of strings."""
+    return isinstance(x, list) and all(isinstance(t, str) for t in x)
+
+
+def _str_lists(x, length: int | None = None) -> bool:
+    """x is a JSON list of string lists, each of the given length when one is given."""
+    return (isinstance(x, list) and all(isinstance(e, list) and length in (None, len(e)) for e in x)
+            and _str_list([t for e in x for t in e]))
 
 
 def parse_graph(text: str | bytes):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 from itertools import combinations
 
-from .graphs import BipartiteGraph, Hypergraph, _str_list, neighbourhood_hypergraph
+from .graphs import BipartiteGraph, Hypergraph, _str_list, _str_lists, neighbourhood_hypergraph
 
 KINDS = ("path", "cycle", "tree", "star", "comb")
 
@@ -449,8 +449,7 @@ def witness_from_json(data: dict) -> SupportWitness:
         return int(tok[1:]) - 1
 
     kind, vertices, host_edges = data["kind"], data["vertices"], data["host_edges"]
-    if not (isinstance(kind, str) and _str_list(vertices) and isinstance(host_edges, list)
-            and all(_str_list(e, 2) for e in host_edges)):
+    if not (isinstance(kind, str) and _str_list(vertices) and _str_lists(host_edges, 2)):
         raise ValueError("witness needs kind \"name\", vertices [token], host_edges [[token, token]]")
     edges = frozenset((min(parse(u), parse(v)), max(parse(u), parse(v))) for u, v in host_edges)
     return SupportWitness(kind, tuple(sorted(map(parse, vertices))), edges)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 from .decomp import BranchDecomposition, SizeGuardError, _bits, caterpillar_from_ordering, interleave
-from .graphs import BipartiteGraph, Graph, _str_list, parse_vertex_token, vertex_token
+from .graphs import BipartiteGraph, Graph, _str_list, _str_lists, parse_vertex_token, vertex_token
 from .supports import SupportWitness, verify_support
 
 
@@ -392,7 +392,7 @@ def representation_to_json(r: ThinRepresentation, g) -> dict:
 
 def representation_from_json(data: dict, g) -> ThinRepresentation:
     order, classes = data["order"], data["classes"]
-    if not (_str_list(order) and isinstance(classes, list) and all(_str_list(c) for c in classes)):
+    if not (_str_list(order) and _str_lists(classes)):
         raise ValueError("representation needs order [token], classes [[token]]")
     return ThinRepresentation(
         tuple(parse_vertex_token(g, t) for t in order),
