@@ -10,11 +10,9 @@ from .graphs import (
     BipartiteGraph,
     Graph,
     GraphFormatError,
-    Hypergraph,
     has_induced_pattern,
     induced_subgraph,
     is_chordal_bipartite,
-    neighbourhood_hypergraph,
     parse_graph,
     pattern_k3_k3,
     pattern_k3_s3,

@@ -250,7 +250,7 @@ def cmd_thin(args, g):
     gg = g.to_graph()
     if not thinness.verify_consistent(gg, rep):
         raise AssertionError("construction emitted an inconsistent representation")
-    bound = thin_bound(w.t, w.max_degree)
+    bound = thin_bound(len(w.branching), w.max_degree)
     d = thinness.linear_bd_from_thin(gg, rep)
     lw, _ = width_of(gg, d, "mim")
     outputs = {

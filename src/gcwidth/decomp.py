@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from .graphs import BipartiteGraph, Graph, _str_list, _str_lists, induced_subgraph, parse_vertex_token, vertex_token
-from .supports import SupportWitness, _walk_path, restrict_support, verify_support
+from .graphs import BipartiteGraph, Graph, _str_list, _str_lists, induced_subgraph, parse_vertex_token, preorder, vertex_token
+from .supports import SupportWitness, restrict_support, verify_support
 
 
 class SizeGuardError(ValueError):
@@ -51,7 +51,7 @@ def validate_decomposition(g: Graph | BipartiteGraph, d: BranchDecomposition) ->
         raise ValueError("empty decomposition tree")
     if len(t.edges) != t.n - 1:
         raise ValueError("decomposition tree is not a tree")
-    if len(_preorder(t.adjacency(), 0)[0]) != t.n:
+    if len(preorder(t.adjacency(), 0)[0]) != t.n:
         raise ValueError("decomposition tree is disconnected")
     leaves = d.leaves()
     deg = t.degree_sequence()
@@ -216,22 +216,6 @@ def max_induced_matching_sim(g: Graph, side) -> tuple[int, tuple]:
 # width of a decomposition
 
 
-def _preorder(adj, root: int):
-    """DFS preorder of the root's tree (component) under adj, and each node's
-    parent (root: -1).  Each subtree is a contiguous block; no recursion."""
-    order = []
-    parent = {root: -1}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                stack.append(y)
-    return order, parent
-
-
 def width_of(g: Graph | BipartiteGraph, d: BranchDecomposition, mode: str = "mim"):
     """Maximum cut value over all tree edges, with the worst cut reported.
 
@@ -248,7 +232,7 @@ def width_of(g: Graph | BipartiteGraph, d: BranchDecomposition, mode: str = "mim
     if not d.tree.edges:
         return 0, None
     adj_masks = gg.adjacency_masks()
-    order, parent = _preorder(d.tree.adjacency(), 0)
+    order, parent = preorder(d.tree.adjacency(), 0)
     # below[x]: the graph vertices on the leaves of x's subtree
     below = [0] * d.tree.n
     for node, v in d.leaf_map.items():
@@ -299,7 +283,7 @@ def _min_width_over_trees(g: Graph, mode: str, guard: int):
     def partial_width(tadj, placed_mask, stop_at):
         # reverse preorder: below[x] is complete when the edge above x comes up
         worst = 0
-        order, parent = _preorder(tadj, 0)
+        order, parent = preorder(tadj, 0)
         below = {x: (1 << x) & placed_mask if x < n else 0 for x in order}
         for x in reversed(order[1:]):
             val = cutv(below[x], placed_mask & ~below[x])
@@ -378,10 +362,11 @@ def construction_bound(kind: str, w: SupportWitness) -> int:
         return 1
     if kind == "circular":
         return 2
-    if w.t < 1:
+    t = len(w.branching)
+    if t < 1:
         return 1
     delta = max(w.max_degree, 3)
-    return spider_bound(delta) if kind == "spider" else tdelta_bound(w.t, delta)
+    return spider_bound(delta) if kind == "spider" else tdelta_bound(t, delta)
 
 
 def thin_bound(t: int, delta: int) -> int:
@@ -526,14 +511,17 @@ def decompose_spider(g: BipartiteGraph, w: SupportWitness) -> BranchDecompositio
         return decompose_convex(g, _path_witness(w.path_order()))
     u = branching[0]
     adj = w.host_adjacency()
-    # the components of the host minus u: one preorder block per child of u
-    order, parent = _preorder(adj, u)
-    comps = []
+    # the components of the host minus u: one preorder block per child c of
+    # u.  Each is a path from c away from u (non-branching vertices have host
+    # degree <= 2), so the block lists it in order.
+    order, parent = preorder(adj, u)
+    blocks = []
     for x in order[1:]:
         if parent[x] == u:
-            comps.append(set())
-        comps[-1].add(x)
-    comps.sort(key=min)
+            blocks.append([])
+        blocks[-1].append(x)
+    blocks.sort(key=min)
+    comps = [set(block) for block in blocks]
 
     b_prime, b_rest = [], []
     b_of_comp: list[list[int]] = [[] for _ in comps]
@@ -553,12 +541,8 @@ def decompose_spider(g: BipartiteGraph, w: SupportWitness) -> BranchDecompositio
 
     parts = []
     hosts = []
-    for i, comp in enumerate(comps):
-        # each component is a path and u's neighbour in it is an endpoint
-        # (non-branching vertices have host degree <= 2); walk toward it
-        # from the opposite end, the one leaf of the host in comp
-        (far,) = [v for v in comp if len(adj[v]) == 1]
-        a_path = list(_walk_path(adj, far, len(comp)))
+    for i, block in enumerate(blocks):
+        a_path = block[::-1]  # from the far end toward u
         if i == 0:
             a_part = a_path + [u]
             b_part = sorted(b_of_comp[0] + b_prime + b_rest)
@@ -598,7 +582,7 @@ def decompose_tdelta(
         return decompose_spider(g, w)
 
     adj = w.host_adjacency()
-    order, parent = _preorder(adj, w.vertices[0])
+    order, parent = preorder(adj, w.vertices[0])
     # size and number of host-branching vertices of every subtree
     size = dict.fromkeys(order, 1)
     count = {x: int(len(adj[x]) >= 3) for x in order}

@@ -1,4 +1,4 @@
-"""Graph and hypergraph value types, file IO, and small structural tests.
+"""Graph value types, file IO, the tree walk, and small structural tests.
 
 All types are immutable values; every operation here is a pure function.
 Vertex conventions: general graphs use indices 0..n-1 (file tokens "1".."n"),
@@ -111,25 +111,6 @@ class BipartiteGraph:
         return Graph(self.n, frozenset(edges))
 
 
-@dataclasses.dataclass(frozen=True)
-class Hypergraph:
-    """Ground set 0..ground_size-1 with one hyperedge per B vertex."""
-
-    ground_size: int
-    hyperedges: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        for he in self.hyperedges:
-            for v in he:
-                if not (0 <= v < self.ground_size):
-                    raise ValueError(f"hyperedge vertex {v} out of range")
-
-
-def neighbourhood_hypergraph(g: BipartiteGraph) -> Hypergraph:
-    """View a bipartite graph as the hypergraph (A, {N(b) : b in B})."""
-    return Hypergraph(g.a_size, g.adj)
-
-
 # ---------------------------------------------------------------------------
 # file format
 
@@ -142,9 +123,14 @@ def vertex_token(g, v: int) -> str:
     return str(v + 1)
 
 
+def _ascii_decimal(tok) -> bool:
+    """tok is a string of ASCII digits only (int() also takes signs, `_` and other digits)."""
+    return isinstance(tok, str) and tok.isascii() and tok.isdecimal()
+
+
 def _bip_token(tok: str, a_size: int, b_size: int) -> int:
     side = tok[:1]
-    if side not in ("a", "b") or not tok[1:].isdecimal():
+    if side not in ("a", "b") or not _ascii_decimal(tok[1:]):
         raise GraphFormatError("token", f"bad bipartite vertex token {tok!r}")
     idx = int(tok[1:]) - 1
     limit = a_size if side == "a" else b_size
@@ -159,7 +145,7 @@ def parse_vertex_token(g, tok) -> int:
     vertex of g (0 or past the end)."""
     if isinstance(g, BipartiteGraph) and isinstance(tok, str):
         return _bip_token(tok, g.a_size, g.b_size)
-    if not isinstance(tok, str) or not tok.isdecimal():
+    if not _ascii_decimal(tok):
         raise GraphFormatError("token", f"bad vertex token {tok!r}")
     if not 0 < int(tok) <= g.n:
         raise GraphFormatError("range", f"vertex {tok} out of range")
@@ -194,7 +180,7 @@ def parse_graph(text: str | bytes):
         raise GraphFormatError("header", "empty file")
     head = lines[0].split()
     if head[0] == "bipartite":
-        if len(head) != 3 or not head[1].isdigit() or not head[2].isdigit():
+        if len(head) != 3 or not _ascii_decimal(head[1]) or not _ascii_decimal(head[2]):
             raise GraphFormatError("header", f"malformed header {lines[0]!r}")
         a_size, b_size = int(head[1]), int(head[2])
         nbrs = [set() for _ in range(b_size)]
@@ -214,7 +200,7 @@ def parse_graph(text: str | bytes):
             nbrs[bv - a_size].add(au)
         return BipartiteGraph(a_size, b_size, tuple(frozenset(s) for s in nbrs))
     if head[0] == "graph":
-        if len(head) != 2 or not head[1].isdigit():
+        if len(head) != 2 or not _ascii_decimal(head[1]):
             raise GraphFormatError("header", f"malformed header {lines[0]!r}")
         n = int(head[1])
         edges = set()
@@ -222,10 +208,9 @@ def parse_graph(text: str | bytes):
             parts = line.split()
             if len(parts) != 3 or parts[0] != "e":
                 raise GraphFormatError("edge-format", f"bad edge line {line!r}")
-            try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            except ValueError:
-                raise GraphFormatError("token", f"bad vertex token in {line!r}") from None
+            if not (_ascii_decimal(parts[1]) and _ascii_decimal(parts[2])):
+                raise GraphFormatError("token", f"bad vertex token in {line!r}")
+            u, v = int(parts[1]) - 1, int(parts[2]) - 1
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError("range", f"vertex out of range in {line!r}")
             if u == v:
@@ -251,6 +236,29 @@ def serialize_graph(g) -> str:
         for u, v in sorted(g.edges):
             out.append(f"e {u + 1} {v + 1}")
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# tree walk
+
+
+def preorder(adj, root: int):
+    """DFS preorder of the root's tree (component) under adj, and each node's
+    parent (root: -1).  Each subtree is a contiguous block; no recursion.
+    Neighbours are pushed in adj's iteration order, so children listed in
+    ascending order are visited in descending order and the reversed
+    preorder is the postorder with children ascending."""
+    order = []
+    parent = {root: -1}
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
+    return order, parent
 
 
 # ---------------------------------------------------------------------------
@@ -301,35 +309,36 @@ def is_chordal_bipartite(g) -> bool:
     """
     adj = g.to_graph().adjacency()
 
-    # Grow induced paths s,x1,..,xk with min vertex s; the only permitted
-    # chord back to s is the one closing the cycle.
-    def extend(path, on_path):
-        last = path[-1]
-        s = path[0]
-        for w in sorted(adj[last]):
+    # Grow induced paths s,x1,..,xk with min vertex s depth-first, one
+    # neighbour iterator per path vertex after s; the only permitted chord
+    # back to s is the one closing the cycle.
+    def extend(s, x1):
+        path, on_path = [s, x1], {s, x1}
+        nexts = [iter(sorted(adj[x1]))]
+        while nexts:
+            w = next(nexts[-1], None)
+            if w is None:
+                nexts.pop()
+                on_path.remove(path.pop())
+                continue
             if w <= s or w in on_path:
                 continue
-            inner = adj[w]
-            if any(p in inner for p in path[1:-1]):
+            # w is adjacent to the last vertex; any further path neighbour but s is a chord
+            hits = adj[w] & on_path
+            if len(hits - {s}) > 1:
                 continue
-            closes = s in inner
-            if closes:
+            if s in hits:
                 if len(path) + 1 != 4:
                     return False  # induced cycle (triangle or >= 5) found
                 continue  # closes a C4; extending past w would add a chord
             path.append(w)
             on_path.add(w)
-            if not extend(path, on_path):
-                return False
-            path.pop()
-            on_path.remove(w)
+            nexts.append(iter(sorted(adj[w])))
         return True
 
     for s in range(g.n):
         for x1 in sorted(adj[s]):
-            if x1 <= s:
-                continue
-            if not extend([s, x1], {s, x1}):
+            if x1 > s and not extend(s, x1):
                 return False
     return True
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 from itertools import combinations
 
-from .graphs import BipartiteGraph, Hypergraph, _str_list, _str_lists, neighbourhood_hypergraph
+from .graphs import BipartiteGraph, _ascii_decimal, _str_list, _str_lists, preorder
 
 KINDS = ("path", "cycle", "tree", "star", "comb")
 
@@ -57,23 +57,14 @@ class SupportWitness:
         deg = self.degrees()
         return max(deg.values(), default=0)
 
-    @property
-    def t(self) -> int:
-        return len(self.branching)
-
-    @property
-    def delta(self) -> int:
-        return self.max_degree
-
     def path_order(self) -> tuple[int, ...]:
         """Vertex sequence of a path-shaped host, least endpoint first."""
         if not _is_path(self):
             raise ValueError("host is not a path")
-        if len(self.vertices) <= 1:
-            return tuple(self.vertices)
+        if not self.vertices:
+            return ()
         adj = self.host_adjacency()
-        ends = sorted(v for v in self.vertices if len(adj[v]) <= 1)
-        return _walk_path(adj, ends[0], len(self.vertices))
+        return tuple(preorder(adj, min(v for v in self.vertices if len(adj[v]) <= 1))[0])
 
     def cycle_order(self) -> tuple[int, ...]:
         """Circular order of a cycle-shaped host, canonical rotation."""
@@ -91,17 +82,7 @@ class SupportWitness:
         return tuple(order)
 
 
-def _walk_path(adj, start, n):
-    order = [start]
-    prev = None
-    while len(order) < n:
-        nexts = sorted(adj[order[-1]] - ({prev} if prev is not None else set()))
-        prev = order[-1]
-        order.append(nexts[0])
-    return tuple(order)
-
-
-def _connected(vertices, adj, inside) -> bool:
+def _connected(adj, inside) -> bool:
     inside = set(inside)
     if len(inside) <= 1:
         return True
@@ -121,7 +102,7 @@ def _is_tree(w: SupportWitness) -> bool:
     n = len(w.vertices)
     if n == 0:
         return len(w.host_edges) == 0
-    return len(w.host_edges) == n - 1 and _connected(w.vertices, w.host_adjacency(), w.vertices)
+    return len(w.host_edges) == n - 1 and _connected(w.host_adjacency(), w.vertices)
 
 
 def _is_path(w: SupportWitness) -> bool:
@@ -138,7 +119,7 @@ def _is_cycle(w: SupportWitness) -> bool:
     return (
         len(w.host_edges) == n
         and all(d == 2 for d in deg.values())
-        and _connected(w.vertices, w.host_adjacency(), w.vertices)
+        and _connected(w.host_adjacency(), w.vertices)
     )
 
 
@@ -164,7 +145,7 @@ def _is_comb(w: SupportWitness) -> bool:
     if len(backbone) != n // 2:
         return False
     adj = w.host_adjacency()
-    if not _connected(w.vertices, adj, backbone):
+    if not _connected(adj, backbone):
         return False
     for v in backbone:
         inside = sum(1 for x in adj[v] if x in backbone)
@@ -196,16 +177,17 @@ def verify_support(g: BipartiteGraph, w: SupportWitness) -> bool:
     if w.kind == "cycle" and len(w.vertices) == 2:
         # closed pair: both subsets of size 2 are arcs
         return True
-    return all(_connected(w.vertices, adj, nb) for nb in g.adj)
+    return all(_connected(adj, nb) for nb in g.adj)
 
 
 # ---------------------------------------------------------------------------
 # degree-bounded tree support (exact search)
 
 
-def tree_support_degree_bounded(h: Hypergraph, caps) -> frozenset[tuple[int, int]] | None:
-    """Spanning tree on the ground set with every hyperedge inducing a subtree
-    and deg(i) <= caps[i] for all i, or None when none exists.
+def tree_support_degree_bounded(n: int, hyperedges, caps) -> frozenset[tuple[int, int]] | None:
+    """Spanning tree on the ground set 0..n-1 with every hyperedge (a set of
+    ground vertices) inducing a subtree and deg(i) <= caps[i] for all i, or
+    None when none exists.
 
     Exact branch and bound over partial forests.  At each node the first
     unsatisfied hyperedge (smallest first) is selected and the component of
@@ -214,7 +196,6 @@ def tree_support_degree_bounded(h: Hypergraph, caps) -> frozenset[tuple[int, int
     by a forest path that leaves the hyperedge, since no supertree can then
     induce a connected subgraph on it.
     """
-    n = h.ground_size
     caps = list(caps)
     if len(caps) != n:
         raise ValueError("cap count must match ground size")
@@ -223,7 +204,7 @@ def tree_support_degree_bounded(h: Hypergraph, caps) -> frozenset[tuple[int, int
     if n == 1:
         return frozenset()
     targets = sorted(
-        {he for he in h.hyperedges if len(he) >= 2},
+        {he for he in hyperedges if len(he) >= 2},
         key=lambda s: (len(s), sorted(s)),
     )
     targets.append(frozenset(range(n)))  # spanning connectivity last
@@ -319,7 +300,7 @@ def recognize_convex(g: BipartiteGraph) -> SupportWitness | None:
         return SupportWitness(
             "path", tuple(range(a)), frozenset((i, i + 1) for i in range(a - 1))
         )
-    edges = tree_support_degree_bounded(neighbourhood_hypergraph(g), [2] * a)
+    edges = tree_support_degree_bounded(a, g.adj, [2] * a)
     if edges is None:
         return None
     return SupportWitness("path", tuple(range(a)), edges)
@@ -354,9 +335,7 @@ def recognize_circular(g: BipartiteGraph) -> SupportWitness | None:
     for nb in g.adj:
         s = (full - nb) if cut in nb else nb
         reduced.append(frozenset(relabel[v] for v in s))
-    edges = tree_support_degree_bounded(
-        Hypergraph(a - 1, tuple(reduced)), [2] * (a - 1)
-    )
+    edges = tree_support_degree_bounded(a - 1, reduced, [2] * (a - 1))
     if edges is None:
         return None
     pw = SupportWitness("path", tuple(range(a - 1)), frozenset(edges))
@@ -393,13 +372,12 @@ def recognize_tdelta(g: BipartiteGraph, t: int, delta: int) -> SupportWitness | 
     a = g.a_size
     if a == 0:
         return SupportWitness("tree", (), frozenset())
-    h = neighbourhood_hypergraph(g)
     for size in range(0, t + 1):
         for chosen in combinations(range(a), size):
             caps = [2] * a
             for v in chosen:
                 caps[v] = delta
-            edges = tree_support_degree_bounded(h, caps)
+            edges = tree_support_degree_bounded(a, g.adj, caps)
             if edges is not None:
                 return SupportWitness("tree", tuple(range(a)), edges)
     return None
@@ -421,7 +399,7 @@ def restrict_support(w: SupportWitness, subset) -> SupportWitness:
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    if not _connected(sub, adj, sub):
+    if not _connected(adj, sub):
         raise ValueError("subset not connected in host")
     maxdeg = max((len(s) for s in adj.values()), default=0)
     kind = "path" if maxdeg <= 2 else "tree"
@@ -437,14 +415,14 @@ def witness_to_json(w: SupportWitness) -> dict:
         "kind": w.kind,
         "vertices": [f"a{v + 1}" for v in w.vertices],
         "host_edges": sorted([f"a{u + 1}", f"a{v + 1}"] for u, v in w.host_edges),
-        "t": w.t,
-        "delta": w.delta,
+        "t": len(w.branching),
+        "delta": w.max_degree,
     }
 
 
 def witness_from_json(data: dict) -> SupportWitness:
     def parse(tok):
-        if not tok.startswith("a") or not tok[1:].isdigit():
+        if not tok.startswith("a") or not _ascii_decimal(tok[1:]):
             raise ValueError(f"bad A-vertex token {tok!r}")
         return int(tok[1:]) - 1
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 from .decomp import BranchDecomposition, SizeGuardError, _bits, caterpillar_from_ordering, interleave
-from .graphs import BipartiteGraph, Graph, _str_list, _str_lists, parse_vertex_token, vertex_token
+from .graphs import BipartiteGraph, Graph, _str_list, _str_lists, parse_vertex_token, preorder, vertex_token
 from .supports import SupportWitness, verify_support
 
 
@@ -118,52 +118,29 @@ def thin_from_tree_support(g: BipartiteGraph, w: SupportWitness) -> ThinRepresen
     postorder of the rooted tree and each b is inserted right after its
     greatest A-neighbour (isolated b's at the end).
     """
+    if w.kind == "cycle":
+        raise ValueError("need an acyclic witness")
     if not verify_support(g, w):
         raise ValueError("invalid tree witness")
     if g.a_size == 0:
         raise ValueError("need at least one A vertex")
-    adj = w.host_adjacency()
-    deg = w.degrees()
-    leaves = sorted(v for v in w.vertices if deg[v] <= 1)
-    root = leaves[0]
-
-    children: dict[int, list[int]] = {}
-    stack = [root]
-    seen = {root}
-    while stack:
-        v = stack.pop()
-        kids = sorted(x for x in adj[v] if x not in seen)
-        children[v] = kids
-        for x in kids:
-            seen.add(x)
-            stack.append(x)
+    adj = {v: sorted(nbrs) for v, nbrs in w.host_adjacency().items()}
+    root = min(v for v in w.vertices if len(adj[v]) <= 1)
+    pre, parent = preorder(adj, root)
 
     # class ids: 0 = B, 1 = root's class, further classes appended
     cls_of = {root: 1}
     next_cls = 2
-    visit = [root]
-    while visit:
-        v = visit.pop()
-        for i, x in enumerate(children[v]):
+    for v in pre:
+        for i, x in enumerate(y for y in adj[v] if parent[y] == v):
             if i == 0:
                 cls_of[x] = cls_of[v]
             else:
                 cls_of[x] = next_cls
                 next_cls += 1
-            visit.append(x)
 
-    postorder = []
-    stack = [(root, False)]
-    while stack:
-        v, expanded = stack.pop()
-        if expanded:
-            postorder.append(v)
-            continue
-        stack.append((v, True))
-        for x in reversed(children[v]):
-            stack.append((x, False))
-
-    order = interleave(g, postorder)
+    # the reversed preorder is the postorder with children ascending
+    order = interleave(g, pre[::-1])
 
     class_sets: list[set[int]] = [set() for _ in range(next_cls)]
     class_sets[0] = {g.a_size + j for j in range(g.b_size)}

@@ -354,3 +354,87 @@ def tdelta_split(vertices, host_edges):
     if best is None:
         return None
     return best[0][1], best[1], best[2]
+
+
+# --- rooted walks of the thinness and spider constructions -------------------
+
+
+def thin_classes_and_postorder(vertices, host_edges):
+    """Class ids and A order of the thinness construction on a host tree, by
+    its original three stack loops: root at the least leaf, list every
+    node's children in ascending order, hand out class ids in a visit that
+    pops the greatest child first (the least child keeps its parent's class,
+    every other child gets the next id; the root has class 1), then walk the
+    tree in postorder with children ascending.
+
+    Returns ({vertex: class id}, one past the greatest id, postorder).
+    """
+    adj = {v: set() for v in vertices}
+    for u, v in host_edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    root = min(v for v in vertices if len(adj[v]) <= 1)
+
+    children = {}
+    stack = [root]
+    seen = {root}
+    while stack:
+        v = stack.pop()
+        kids = sorted(x for x in adj[v] if x not in seen)
+        children[v] = kids
+        for x in kids:
+            seen.add(x)
+            stack.append(x)
+
+    cls_of = {root: 1}
+    next_cls = 2
+    visit = [root]
+    while visit:
+        v = visit.pop()
+        for i, x in enumerate(children[v]):
+            if i == 0:
+                cls_of[x] = cls_of[v]
+            else:
+                cls_of[x] = next_cls
+                next_cls += 1
+            visit.append(x)
+
+    postorder = []
+    stack = [(root, False)]
+    while stack:
+        v, expanded = stack.pop()
+        if expanded:
+            postorder.append(v)
+            continue
+        stack.append((v, True))
+        for x in reversed(children[v]):
+            stack.append((x, False))
+    return cls_of, next_cls, postorder
+
+
+def walk_path(adj, start, n):
+    """The first n vertices of the walk from start that never steps straight
+    back and takes the least new neighbour: a path host read end to end."""
+    order = [start]
+    prev = None
+    while len(order) < n:
+        nexts = sorted(adj[order[-1]] - ({prev} if prev is not None else set()))
+        prev = order[-1]
+        order.append(nexts[0])
+    return tuple(order)
+
+
+def spider_legs(vertices, host_edges, u):
+    """The components of a host tree minus u, least first, each as the path
+    from its far end to u's neighbour in it, found by deleting each edge at u
+    and walking from the leg's only host leaf."""
+    adj = {v: set() for v in vertices}
+    for x, y in host_edges:
+        adj[x].add(y)
+        adj[y].add(x)
+    legs = []
+    for c in sorted(adj[u]):
+        comp = _component_without_edge(adj, c, (u, c))
+        (far,) = [v for v in comp if len(adj[v]) == 1]
+        legs.append(list(walk_path(adj, far, len(comp))))
+    return sorted(legs, key=min)

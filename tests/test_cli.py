@@ -464,3 +464,28 @@ class TestInputValidation:
             ):
                 err = assert_rejected(tmp_path, capsys, *argv)
                 assert "expected a JSON object, got list" in err
+
+    def test_thin_with_cycle_witness(self, tmp_path, capsys):
+        graph, witness, _ = self.crown_artifacts(tmp_path)
+        err = assert_rejected(tmp_path, capsys, "thin", "--witness", witness, graph)
+        assert "need an acyclic witness" in err
+
+    def test_non_ascii_digits_in_graph_files(self, tmp_path, capsys):
+        for i, text in enumerate(("graph 3\ne 1 ٢\ne 2 3\n", "graph 12\ne 1_0 +2\n",
+                                  "graph ٣\ne 1 2\n", "bipartite 2 2\ne a١ b1\ne a2 b2\n")):
+            f = tmp_path / f"digits{i}.graph"
+            f.write_text(text, encoding="utf-8")
+            assert_rejected(tmp_path, capsys, "oracle", "--param", "mimw", str(f))
+
+    def test_non_ascii_digits_in_witness(self, tmp_path, capsys):
+        graph, witness, _ = self.crown_artifacts(tmp_path)
+        data = json.loads(Path(witness).read_text())
+        data["vertices"] = [v.replace("a1", "a١") for v in data["vertices"]]
+        data["host_edges"] = [[v.replace("a1", "a١") for v in e] for e in data["host_edges"]]
+        bad = tmp_path / "digits.witness.json"
+        bad.write_text(json.dumps(data))
+        for argv in (
+            ("verify", "--witness", str(bad), graph),
+            ("decompose", "--class", "circular", "--witness", str(bad), graph),
+        ):
+            assert "bad A-vertex token" in assert_rejected(tmp_path, capsys, *argv)

@@ -9,6 +9,7 @@ from gcwidth import (
     Graph,
     SizeGuardError,
     SupportWitness,
+    ThinRepresentation,
     caterpillar_from_ordering,
     decompose_circular,
     decompose_convex,
@@ -22,10 +23,12 @@ from gcwidth import (
     max_induced_matching_sim,
     mimw_oracle,
     multijoin_bound,
+    representation_to_json,
     restrict_support,
     simw_oracle,
     spider_bound,
     tdelta_bound,
+    thin_from_tree_support,
     validate_decomposition,
     width_of,
 )
@@ -33,7 +36,14 @@ from gcwidth.decomp import construction_bound, interleave, pthin_bound, thin_bou
 from gcwidth.graphs import GraphFormatError, complete_bipartite, cycle_graph, path_graph
 from gcwidth.families import gen_crown, gen_random_hconvex
 
-from oracles import brute_max_induced_matching, brute_width, tdelta_split
+from oracles import (
+    brute_max_induced_matching,
+    brute_width,
+    spider_legs,
+    tdelta_split,
+    thin_classes_and_postorder,
+    walk_path,
+)
 
 
 def random_graph(rng, n, p=0.4):
@@ -472,12 +482,13 @@ class TestDecomposeTdelta:
         assert {3, 4} <= split_degrees
 
 
-def reference_tdelta(g, w, trace, split_degrees):
-    """decompose_tdelta with every split chosen by oracles.tdelta_split;
-    records the host degrees of the split edges' ends in split_degrees."""
+def reference_tdelta(g, w, trace, split_degrees, spider=decompose_spider):
+    """decompose_tdelta with every split chosen by oracles.tdelta_split and
+    the parts of at most one branching vertex built by `spider`; records the
+    host degrees of the split edges' ends in split_degrees."""
     t = len(w.branching)
     if t <= 1:
-        return decompose_spider(g, w)
+        return spider(g, w)
     (u, v), a1, a2 = tdelta_split(w.vertices, w.host_edges)
     deg = w.degrees()
     split_degrees.update((deg[u], deg[v]))
@@ -494,11 +505,92 @@ def reference_tdelta(g, w, trace, split_degrees):
             (min(mapping[p], mapping[q]), max(mapping[p], mapping[q])) for p, q in host.host_edges
         )
         local_w = SupportWitness(host.kind, tuple(sorted(mapping[a] for a in a_side)), local_edges)
-        d = reference_tdelta(sub, local_w, trace, split_degrees)
+        d = reference_tdelta(sub, local_w, trace, split_degrees, spider)
         inverse = {new: old for old, new in mapping.items()}
         leaf_map = {leaf: inverse[x] for leaf, x in d.leaf_map.items()}
         decomps.append(BranchDecomposition(d.tree, leaf_map, d.linear, d.spine))
     return glue_multijoin(g.to_graph(), [x1, x2], decomps)
+
+
+def reference_convex(g, a_order):
+    """decompose_convex on the path host listed by a_order, least end first."""
+    a_order = list(a_order)
+    if a_order[-1] < a_order[0]:
+        a_order.reverse()
+    return caterpillar_from_ordering(interleave(g, a_order))
+
+
+def reference_spider(g, w):
+    """decompose_spider with the host read by the oracles' path walks."""
+    adj = w.host_adjacency()
+    if not w.branching:
+        start = min(v for v in w.vertices if len(adj[v]) <= 1)
+        return reference_convex(g, walk_path(adj, start, len(w.vertices)))
+    (u,) = w.branching
+    legs = spider_legs(w.vertices, w.host_edges, u)
+    b_prime, b_rest, b_of_leg = [], [], [[] for _ in legs]
+    for j, nb in enumerate(g.adj):
+        b = g.a_size + j
+        homes = [i for i, leg in enumerate(legs) if nb <= set(leg) | {u}]
+        if nb <= {u}:
+            b_prime.append(b)
+        elif homes:
+            b_of_leg[homes[0]].append(b)
+        else:
+            b_rest.append(b)
+    parts, decomps = [], []
+    for i, leg in enumerate(legs):
+        host = leg + [u] if i == 0 else leg
+        bs = b_of_leg[0] + b_prime + b_rest if i == 0 else b_of_leg[i]
+        parts.append(sorted(host) + sorted(bs))
+        sub, mapping = induced_subgraph(g, parts[-1])
+        d = reference_convex(sub, [mapping[v] for v in host])
+        inverse = {new: old for old, new in mapping.items()}
+        leaf_map = {leaf: inverse[x] for leaf, x in d.leaf_map.items()}
+        decomps.append(BranchDecomposition(d.tree, leaf_map, d.linear, d.spine))
+    return glue_multijoin(g.to_graph(), parts, decomps)
+
+
+def reference_thin(g, w):
+    """thin_from_tree_support with the host read by the oracles' three loops."""
+    cls_of, count, postorder = thin_classes_and_postorder(w.vertices, w.host_edges)
+    class_sets = [set(range(g.a_size, g.n))] + [set() for _ in range(1, count)]
+    for a, c in cls_of.items():
+        class_sets[c].add(a)
+    return ThinRepresentation(tuple(interleave(g, postorder)), tuple(frozenset(c) for c in class_sets if c))
+
+
+class TestRootedWalksMatchReference:
+    """The constructions that root the support tree with graphs.preorder give
+    the same outputs as the original hand-written walks kept in oracles."""
+
+    @staticmethod
+    def instances():
+        for t in range(6):
+            for seed in range(20):
+                delta = 3 + seed % 3
+                a = t * (delta - 1) + 2 + seed % 7
+                yield gen_random_hconvex("tree", a, a + seed % 5, seed, t=t, delta=delta)
+        for kind in ("path", "tree"):
+            for b in range(3):
+                g = BipartiteGraph(1, b, tuple(frozenset({0} if j else ()) for j in range(b)))
+                yield g, SupportWitness(kind, (0,), frozenset())
+
+    def test_thin_from_tree_support(self):
+        for g, w in self.instances():
+            got = representation_to_json(thin_from_tree_support(g, w), g)
+            assert got == representation_to_json(reference_thin(g, w), g)
+
+    def test_spider_parts(self):
+        t_seen = set()
+        for g, w in self.instances():
+            t_seen.add(len(w.branching))
+            if len(w.branching) <= 1:
+                got, want = decompose_spider(g, w), reference_spider(g, w)
+            else:
+                got, want = decompose_tdelta(g, w), reference_tdelta(g, w, [], set(), reference_spider)
+            assert decomposition_to_json(got, g) == decomposition_to_json(want, g)
+        assert t_seen == set(range(6))
 
 
 class TestConstructionsNeverBeatOracle:

@@ -161,11 +161,11 @@ class TestRandomHconvex:
         for seed in range(5):
             g, w = gen_random_hconvex("tree", 12, 8, seed, t=2, delta=3)
             assert verify_support(g, w)
-            assert w.t == 2 and w.max_degree == 3
+            assert len(w.branching) == 2 and w.max_degree == 3
 
     def test_tree_delta4(self):
         g, w = gen_random_hconvex("tree", 10, 8, 0, t=1, delta=4)
-        assert w.t == 1 and w.max_degree == 4
+        assert len(w.branching) == 1 and w.max_degree == 4
 
     def test_infeasible_raises(self):
         with pytest.raises(ValueError):

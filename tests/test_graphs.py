@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -9,7 +10,6 @@ from gcwidth import (
     has_induced_pattern,
     induced_subgraph,
     is_chordal_bipartite,
-    neighbourhood_hypergraph,
     parse_graph,
     pattern_k3_k3,
     pattern_k3_s3,
@@ -22,7 +22,7 @@ from gcwidth.graphs import (
     path_graph,
     vertex_token,
 )
-from gcwidth.families import gen_crown, gen_random_hconvex
+from gcwidth.families import gen_random_hconvex
 
 from oracles import brute_has_induced_pattern, brute_is_chordal_bipartite
 
@@ -92,6 +92,7 @@ class TestVertexTokens:
     @pytest.mark.parametrize(
         "tok, kind",
         [("x1", "token"), ("a", "token"), ("b1a", "token"), ("", "token"), (3, "token"),
+         ("a\u0663", "token"), ("b\u0661", "token"), ("a+1", "token"), ("a 1", "token"),
          ("a0", "range"), ("b4", "range"), ("a4", "range")],
     )
     def test_bipartite_rejects(self, tok, kind):
@@ -102,6 +103,7 @@ class TestVertexTokens:
     @pytest.mark.parametrize(
         "tok, kind",
         [("a1", "token"), ("-1", "token"), ("+2", "token"), ("1.0", "token"), (2, "token"),
+         ("\u0662", "token"), ("\uff12", "token"), ("1_0", "token"), ("\u00b2", "token"),
          ("0", "range"), ("5", "range")],
     )
     def test_general_rejects(self, tok, kind):
@@ -109,27 +111,20 @@ class TestVertexTokens:
             parse_vertex_token(path_graph(4), tok)
         assert err.value.kind == kind
 
+    @pytest.mark.parametrize(
+        "text, kind",
+        [("graph 3\ne 1 \u0662\n", "token"), ("graph 12\ne 1_0 +2\n", "token"),
+         ("graph 3\ne -1 2\n", "token"), ("graph \u0663\ne 1 2\n", "header"),
+         ("bipartite 2 1\ne a\u0662 b1\n", "token"), ("bipartite \u0662 1\ne a1 b1\n", "header")],
+    )
+    def test_file_tokens_are_ascii_decimals(self, text, kind):
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(text)
+        assert err.value.kind == kind
+
     def test_graph_to_graph_is_identity(self):
         g = path_graph(3)
         assert g.to_graph() is g
-
-
-class TestHypergraph:
-    def test_definition_unfold(self):
-        g = BipartiteGraph(3, 1, (frozenset({0, 2}),))
-        h = neighbourhood_hypergraph(g)
-        assert h.ground_size == 3
-        assert h.hyperedges == (frozenset({0, 2}),)
-
-    def test_empty_b(self):
-        h = neighbourhood_hypergraph(BipartiteGraph(2, 0, ()))
-        assert h.hyperedges == ()
-
-    def test_crown3(self):
-        g, _ = gen_crown(3)
-        h = neighbourhood_hypergraph(g)
-        assert len(h.hyperedges) == 3
-        assert all(len(he) == 2 for he in h.hyperedges)
 
 
 class TestInducedSubgraph:
@@ -181,6 +176,12 @@ class TestChordalBipartite:
 
     def test_forest_true(self):
         assert is_chordal_bipartite(path_graph(7))
+
+    def test_longer_than_recursion_limit(self):
+        # the induced-path search keeps its own stack, one entry per path vertex
+        n = sys.getrecursionlimit() + 50
+        assert is_chordal_bipartite(path_graph(n))
+        assert not is_chordal_bipartite(cycle_graph(n + n % 2))
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(7)

@@ -14,3 +14,34 @@ def test_no_runtime_assert():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert SOURCES and not found, f"assert statements in src: {found}"
+
+
+# Self-recursive functions allowed in src, each with the bound on its depth.
+RECURSION_ALLOWED = {
+    "has_induced_pattern.place": "at most the pattern size",
+    "_min_width_over_trees.insert": "at most the oracle guard",
+    "_max_independent_set.solve": "at most the maximum matching size",
+    "gen_gk": "k <= 5",
+    "decompose_tdelta": "at most t",
+    "tree_support_degree_bounded.solve": "unbounded; to be replaced by polynomial support recognition",
+}
+
+
+def _self_recursive(node, prefix=""):
+    """Dotted names of the functions under node that call themselves by name."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            callees = {c.func.id for c in ast.walk(child) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+            if isinstance(child, ast.FunctionDef) and child.name in callees:
+                yield name
+            name += "."
+        yield from _self_recursive(child, name)
+
+
+def test_no_unbounded_recursion():
+    # deep inputs (long paths, large trees) must not raise RecursionError
+    found = {name for path in SOURCES for name in _self_recursive(ast.parse(path.read_text(), str(path)))}
+    assert found - RECURSION_ALLOWED.keys() == set(), "recursive functions without a depth bound"
+    assert RECURSION_ALLOWED.keys() - found == set(), "stale allow-list entries"

@@ -4,9 +4,7 @@ import pytest
 
 from gcwidth import (
     BipartiteGraph,
-    Hypergraph,
     SupportWitness,
-    neighbourhood_hypergraph,
     recognize_circular,
     recognize_convex,
     recognize_star,
@@ -84,20 +82,19 @@ class TestVerifySupport:
 
 class TestTreeSupportDegreeBounded:
     def test_single_pair(self):
-        h = Hypergraph(3, (frozenset({0, 1}),))
-        edges = tree_support_degree_bounded(h, [2, 2, 2])
+        edges = tree_support_degree_bounded(3, (frozenset({0, 1}),), [2, 2, 2])
         assert edges is not None and (0, 1) in edges
         assert len(edges) == 2  # spanning path
 
     def test_three_pairs_cap2_infeasible(self):
-        h = Hypergraph(4, (frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 3})))
-        assert has_capped_tree_support(4, h.hyperedges, [2, 2, 2, 2]) is False
-        assert tree_support_degree_bounded(h, [2, 2, 2, 2]) is None
+        hyperedges = (frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 3}))
+        assert has_capped_tree_support(4, hyperedges, [2, 2, 2, 2]) is False
+        assert tree_support_degree_bounded(4, hyperedges, [2, 2, 2, 2]) is None
 
     def test_three_pairs_cap3_star(self):
-        h = Hypergraph(4, (frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 3})))
-        assert has_capped_tree_support(4, h.hyperedges, [3, 2, 2, 2]) is True
-        edges = tree_support_degree_bounded(h, [3, 2, 2, 2])
+        hyperedges = (frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 3}))
+        assert has_capped_tree_support(4, hyperedges, [3, 2, 2, 2]) is True
+        edges = tree_support_degree_bounded(4, hyperedges, [3, 2, 2, 2])
         assert edges == frozenset({(0, 1), (0, 2), (0, 3)})
 
     def test_agrees_with_exhaustive(self):
@@ -109,7 +106,7 @@ class TestTreeSupportDegreeBounded:
                 frozenset(rng.sample(range(n), rng.randint(2, n))) for _ in range(m)
             )
             caps = [rng.randint(1, 3) for _ in range(n)]
-            got = tree_support_degree_bounded(Hypergraph(n, hyperedges), caps)
+            got = tree_support_degree_bounded(n, hyperedges, caps)
             expected = has_capped_tree_support(n, hyperedges, caps)
             assert (got is not None) == expected
             if got is not None:
@@ -209,7 +206,7 @@ class TestRecognizeTdelta:
         g = BipartiteGraph(4, 3, tuple(frozenset({0, i}) for i in range(1, 4)))
         w = recognize_tdelta(g, 1, 3)
         assert w is not None and verify_support(g, w)
-        assert w.t <= 1 and w.max_degree <= 3
+        assert len(w.branching) <= 1 and w.max_degree <= 3
         assert recognize_tdelta(g, 0, 3) is None
 
     def test_monotone_in_parameters(self):
@@ -286,5 +283,5 @@ class TestWitnessJson:
         g = BipartiteGraph(4, 3, tuple(frozenset({0, i}) for i in range(1, 4)))
         w = recognize_tdelta(g, 1, 3)
         data = witness_to_json(w)
-        assert data["t"] == w.t and data["delta"] == w.max_degree
+        assert data["t"] == len(w.branching) and data["delta"] == w.max_degree
         assert witness_from_json(data) == w

@@ -223,7 +223,7 @@ class TestThinFromTreeSupport:
             g, w = gen_random_hconvex("tree", 10, 9, seed, t=2, delta=3)
             r = thin_from_tree_support(g, w)
             assert verify_consistent(g.to_graph(), r)
-            assert r.class_count() <= 2 + w.t * (w.max_degree - 2)
+            assert r.class_count() <= 2 + len(w.branching) * (w.max_degree - 2)
 
     def test_linear_bd_width_le_classes(self):
         for seed in range(8):
