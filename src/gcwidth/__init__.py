@@ -11,7 +11,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     has_induced_pattern,
-    induced_subgraph,
     is_chordal_bipartite,
     parse_graph,
     pattern_k3_k3,
@@ -24,7 +23,6 @@ from .supports import (
     recognize_convex,
     recognize_star,
     recognize_tdelta,
-    restrict_support,
     tree_support_degree_bounded,
     verify_support,
     witness_from_json,

@@ -37,6 +37,7 @@ from .decomp import (
 from .graphs import (
     BipartiteGraph,
     GraphFormatError,
+    ascii_int,
     parse_graph,
     parse_vertex_token,
     serialize_graph,
@@ -374,24 +375,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gcwidth",
         description="widths of generalized convex bipartite graphs: recognize, decompose, measure, certify",
     )
-    ap.add_argument("--seed", type=int, default=None, help="seed for generation (default 0)")
-    ap.add_argument("--guard", type=int, default=None, help="override oracle size guards")
+    ap.add_argument("--seed", type=ascii_int, default=None, help="seed for generation (default 0)")
+    ap.add_argument("--guard", type=ascii_int, default=None, help="override oracle size guards")
     ap.add_argument("--out", default=".", help="output directory for artifacts and runs.jsonl")
     ap.add_argument("--format", choices=("json", "text"), default="text")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("recognize", help="recognize a support class and emit a witness")
     p.add_argument("--class", dest="cls", required=True, choices=("convex", "circular", "star", "tdelta"))
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--delta", type=int, default=3)
+    p.add_argument("--t", type=ascii_int, default=1)
+    p.add_argument("--delta", type=ascii_int, default=3)
     p.add_argument("file")
     p.set_defaults(fn=cmd_recognize, needs_bipartite="recognition")
 
     p = sub.add_parser("decompose", help="build a width-bounded branch decomposition")
     p.add_argument("--class", dest="cls", required=True, choices=("convex", "circular", "spider", "tdelta"))
     p.add_argument("--witness", help="support witness JSON (recognized when omitted)")
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--delta", type=int, default=3)
+    p.add_argument("--t", type=ascii_int, default=1)
+    p.add_argument("--delta", type=ascii_int, default=3)
     p.add_argument("file")
     p.set_defaults(fn=cmd_decompose, needs_bipartite="decomposition")
 
@@ -409,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thin", help="thinness representation from a tree support")
     p.add_argument("--witness")
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--delta", type=int, default=3)
+    p.add_argument("--t", type=ascii_int, default=1)
+    p.add_argument("--delta", type=ascii_int, default=3)
     p.add_argument("file")
     p.set_defaults(fn=cmd_thin, needs_bipartite="the thinness construction")
 

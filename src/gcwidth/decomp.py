@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from .graphs import BipartiteGraph, Graph, _str_list, _str_lists, induced_subgraph, parse_vertex_token, preorder, vertex_token
-from .supports import SupportWitness, restrict_support, verify_support
+from .graphs import BipartiteGraph, Graph, _ascii_decimal, _str_list, _str_lists, parse_vertex_token, preorder, vertex_token
+from .supports import SupportWitness, verify_support
 
 
 class SizeGuardError(ValueError):
@@ -389,22 +389,20 @@ def multijoin_bound(c: int, p: int, part_widths) -> int:
 # constructions
 
 
-def interleave(g: BipartiteGraph, a_order) -> list[int]:
-    """Vertex order: A as in a_order, each b with neighbours right after its
-    greatest A-neighbour in that order (ties by b index), isolated b's at the
-    end."""
+def interleave(g: BipartiteGraph, a_order, bs=None) -> list[int]:
+    """Vertex order: A as in a_order, each b of bs (all of B when omitted)
+    right after its greatest neighbour within a_order (ties in the order of
+    bs), and the b's with no neighbour there at the end in that order."""
     pos = {a: i for i, a in enumerate(a_order)}
     after: list[list[int]] = [[] for _ in pos]
     tail = []
-    for j, nb in enumerate(g.adj):
-        if nb:
-            after[max(pos[a] for a in nb)].append(g.a_size + j)
-        else:
-            tail.append(g.a_size + j)
+    for b in range(g.a_size, g.n) if bs is None else bs:
+        i = max((pos.get(a, -1) for a in g.adj[b - g.a_size]), default=-1)
+        (after[i] if i >= 0 else tail).append(b)
     order = []
-    for a, bs in zip(a_order, after):
+    for a, placed in zip(a_order, after):
         order.append(a)
-        order.extend(bs)
+        order.extend(placed)
     return order + tail
 
 
@@ -437,20 +435,26 @@ def glue_multijoin(g: Graph, parts, part_decomps) -> BranchDecomposition:
     pairwise cut value between parts; callers assert it per instance.
     """
     parts = [sorted(p) for p in parts]
-    p = len(parts)
-    if p == 0:
+    if not parts:
         raise ValueError("no parts")
     flat = [v for part in parts for v in part]
     if sorted(flat) != list(range(g.n)) or len(flat) != len(set(flat)):
         raise ValueError("parts do not partition the vertex set")
-    if len(part_decomps) != p:
+    if len(part_decomps) != len(parts):
         raise ValueError("one decomposition required per part")
     for part, d in zip(parts, part_decomps):
         if sorted(d.leaf_map.values()) != part:
             raise ValueError("part decomposition does not cover its part")
+    return _glue(part_decomps)
+
+
+def _glue(part_decomps) -> BranchDecomposition:
+    """glue_multijoin without its checks: spine nodes 0..p-1, then each part
+    tree renumbered in turn, its least edge subdivided by a hook on its
+    spine node (a one-node part hangs on the spine directly)."""
+    p = len(part_decomps)
     if p == 1:
         return part_decomps[0]
-
     edges: list[tuple[int, int]] = [(i, i + 1) for i in range(p - 1)]
     leaf_map: dict[int, int] = {}
     next_id = p
@@ -478,39 +482,23 @@ def glue_multijoin(g: Graph, parts, part_decomps) -> BranchDecomposition:
     return BranchDecomposition(tree, leaf_map, False, ())
 
 
-def _relabel_leaves(d: BranchDecomposition, value_map: dict[int, int]) -> BranchDecomposition:
-    return BranchDecomposition(
-        d.tree, {leaf: value_map[v] for leaf, v in d.leaf_map.items()}, d.linear, d.spine
-    )
-
-
-def _path_witness(vertices_in_order) -> SupportWitness:
-    vs = list(vertices_in_order)
-    edges = frozenset(
-        (min(vs[i], vs[i + 1]), max(vs[i], vs[i + 1])) for i in range(len(vs) - 1)
-    )
-    return SupportWitness("path", tuple(sorted(vs)), edges)
-
-
-def decompose_spider(g: BipartiteGraph, w: SupportWitness) -> BranchDecomposition:
-    """Decomposition of width <= max{2*floor((D/2)^2), 2D-1} from a tree
-    support with at most one branching vertex of degree D.
-
-    The A side splits into the components around the branching vertex u;
-    every part is convex on a path host, and the parts are glued along a
-    spine.  A path-shaped support delegates to the convex construction.
-    """
+def _check_tree_witness(g: BipartiteGraph, w: SupportWitness) -> None:
     if w.kind == "cycle":
         raise ValueError("need an acyclic witness")
     if not verify_support(g, w):
         raise ValueError("invalid tree witness")
-    branching = w.branching
-    if len(branching) > 1:
-        raise ValueError("witness has more than one branching vertex")
-    if len(branching) == 0:
-        return decompose_convex(g, _path_witness(w.path_order()))
-    u = branching[0]
-    adj = w.host_adjacency()
+
+
+def _spider(g: BipartiteGraph, adj: dict[int, set[int]], bs) -> BranchDecomposition:
+    """decompose_spider on the part of g with host adj (the support restricted
+    to the part's A vertices, at most one of degree >= 3) and B vertices bs,
+    ascending.  Every path is read from its least end."""
+    branching = [v for v in adj if len(adj[v]) >= 3]
+    if not branching:
+        ends = [v for v in adj if len(adj[v]) <= 1]
+        path = preorder(adj, min(ends))[0] if ends else []
+        return caterpillar_from_ordering(interleave(g, path, bs))
+    (u,) = branching
     # the components of the host minus u: one preorder block per child c of
     # u.  Each is a path from c away from u (non-branching vertices have host
     # degree <= 2), so the block lists it in order.
@@ -523,43 +511,44 @@ def decompose_spider(g: BipartiteGraph, w: SupportWitness) -> BranchDecompositio
     blocks.sort(key=min)
     comps = [set(block) for block in blocks]
 
+    inside = set(adj)
     b_prime, b_rest = [], []
     b_of_comp: list[list[int]] = [[] for _ in comps]
-    for j, nb in enumerate(g.adj):
-        b = g.a_size + j
+    for b in bs:
+        nb = g.adj[b - g.a_size] & inside
         if nb <= {u}:
             b_prime.append(b)
             continue
-        placed = False
         for i, comp in enumerate(comps):
             if nb <= comp | {u}:
                 b_of_comp[i].append(b)
-                placed = True
                 break
-        if not placed:
+        else:
             b_rest.append(b)
 
-    parts = []
-    hosts = []
-    for i, block in enumerate(blocks):
-        a_path = block[::-1]  # from the far end toward u
-        if i == 0:
-            a_part = a_path + [u]
-            b_part = sorted(b_of_comp[0] + b_prime + b_rest)
-        else:
-            a_part = a_path
-            b_part = sorted(b_of_comp[i])
-        parts.append(sorted(a_part) + b_part)
-        hosts.append(a_part)
-
     decomps = []
-    for part, host in zip(parts, hosts):
-        sub, mapping = induced_subgraph(g, part)
-        local_host = [mapping[v] for v in host]
-        d = decompose_convex(sub, _path_witness(local_host))
-        inverse = {new: old for old, new in mapping.items()}
-        decomps.append(_relabel_leaves(d, inverse))
-    return glue_multijoin(g.to_graph(), parts, decomps)
+    for i, block in enumerate(blocks):
+        # part 0 also takes u and every b that no single component takes
+        path = [u] + block if i == 0 else block
+        part_bs = sorted(b_of_comp[0] + b_prime + b_rest) if i == 0 else b_of_comp[i]
+        if path[-1] < path[0]:
+            path = path[::-1]
+        decomps.append(caterpillar_from_ordering(interleave(g, path, part_bs)))
+    return _glue(decomps)
+
+
+def decompose_spider(g: BipartiteGraph, w: SupportWitness) -> BranchDecomposition:
+    """Decomposition of width <= max{2*floor((D/2)^2), 2D-1} from a tree
+    support with at most one branching vertex of degree D.
+
+    The A side splits into the components around the branching vertex u;
+    every part is convex on a path host, and the parts are glued along a
+    spine.  A path-shaped support gives the convex construction.
+    """
+    _check_tree_witness(g, w)
+    if len(w.branching) > 1:
+        raise ValueError("witness has more than one branching vertex")
+    return _spider(g, w.host_adjacency(), range(g.a_size, g.n))
 
 
 def decompose_tdelta(
@@ -571,71 +560,52 @@ def decompose_tdelta(
     the two sides, partitions B by contact with the first side, recurses,
     and glues the two half-decompositions.  Width <= tdelta_bound(t, delta);
     every recursion level records its split cut value against the guarantee
-    delta*(t-1) when a trace list is supplied.
+    delta*(t-1) when a trace list is supplied.  The support is checked once;
+    each level works on a part of g in g's own labels, and a subtree of the
+    support is a support of every N(b) restricted to it.
     """
-    if w.kind == "cycle":
-        raise ValueError("need an acyclic witness")
-    if not verify_support(g, w):
-        raise ValueError("invalid tree witness")
-    t = len(w.branching)
-    if t <= 1:
-        return decompose_spider(g, w)
+    _check_tree_witness(g, w)
+    masks = g.to_graph().adjacency_masks() if trace is not None else None
 
-    adj = w.host_adjacency()
-    order, parent = preorder(adj, w.vertices[0])
-    # size and number of host-branching vertices of every subtree
-    size = dict.fromkeys(order, 1)
-    count = {x: int(len(adj[x]) >= 3) for x in order}
-    for x in reversed(order[1:]):
-        size[parent[x]] += size[x]
-        count[parent[x]] += count[x]
-    best = None
-    for (u, v) in sorted(w.host_edges):
-        # cutting child c from parent p takes one neighbour from each: an
-        # end of host degree exactly 3 stops branching on its side
-        c, p = (u, v) if parent[u] == v else (v, u)
-        t_c = count[c] - (len(adj[c]) == 3)
-        t_p = t - count[c] - (len(adj[p]) == 3)
-        key = (max(t_c, t_p), (u, v))
-        if key[0] < t and (best is None or key < best[0]):
-            best = (key, c)
-    if best is None:
-        raise AssertionError("no splitting edge despite multiple branchings")
-    (_, (u, v)), c = best
-    i = order.index(c)
-    subtree = set(order[i : i + size[c]])
-    rest = set(w.vertices) - subtree
-    a1, a2 = (subtree, rest) if c == u else (rest, subtree)
+    def split(adj, bs):
+        # adj: the support restricted to the part's A vertices; bs: its B vertices, ascending
+        t = sum(len(nbrs) >= 3 for nbrs in adj.values())
+        if t <= 1:
+            return _spider(g, adj, bs)
+        order, parent = preorder(adj, min(adj))
+        # size and number of host-branching vertices of every subtree
+        size = dict.fromkeys(order, 1)
+        count = {x: int(len(adj[x]) >= 3) for x in order}
+        for x in reversed(order[1:]):
+            size[parent[x]] += size[x]
+            count[parent[x]] += count[x]
+        best = None
+        for (u, v) in sorted((x, y) for x in adj for y in adj[x] if x < y):
+            # cutting child c from parent p takes one neighbour from each: an
+            # end of host degree exactly 3 stops branching on its side
+            c, p = (u, v) if parent[u] == v else (v, u)
+            t_c = count[c] - (len(adj[c]) == 3)
+            t_p = t - count[c] - (len(adj[p]) == 3)
+            key = (max(t_c, t_p), (u, v))
+            if key[0] < t and (best is None or key < best[0]):
+                best = (key, c)
+        if best is None:
+            raise AssertionError("no splitting edge despite multiple branchings")
+        (_, (u, v)), c = best
+        i = order.index(c)
+        subtree = set(order[i : i + size[c]])
+        a1, a2 = (subtree, set(adj) - subtree) if c == u else (set(adj) - subtree, subtree)
+        b1 = [b for b in bs if g.adj[b - g.a_size] & a1]
+        b2 = [b for b in bs if not (g.adj[b - g.a_size] & a1)]
+        if trace is not None:
+            # mim conflicts read only X-Y edges: the part's cut is read in g
+            delta = max(map(len, adj.values()))
+            cut, _ = _mim_pair(masks, sum(1 << x for x in [*a1, *b1]), sum(1 << x for x in [*a2, *b2]), "mim")
+            trace.append({"t": t, "delta": delta, "cut": cut, "bound": delta * (t - 1)})
+        halves = ((a1, b1), (a2, b2))
+        return _glue([split({x: adj[x] & side for x in side}, side_bs) for side, side_bs in halves])
 
-    b1 = [g.a_size + j for j, nb in enumerate(g.adj) if nb & a1]
-    b2 = [g.a_size + j for j, nb in enumerate(g.adj) if not (nb & a1)]
-    x1 = sorted(a1) + b1
-    x2 = sorted(a2) + b2
-
-    if trace is not None:
-        cut_value, _ = max_induced_matching_cut(g.to_graph(), x1)
-        trace.append(
-            {
-                "t": t,
-                "delta": w.max_degree,
-                "cut": cut_value,
-                "bound": w.max_degree * (t - 1),
-            }
-        )
-
-    decomps = []
-    for part, a_side in ((x1, a1), (x2, a2)):
-        sub, mapping = induced_subgraph(g, part)
-        rw = restrict_support(w, a_side)
-        local_edges = frozenset(
-            (min(mapping[p], mapping[q]), max(mapping[p], mapping[q]))
-            for p, q in rw.host_edges
-        )
-        local_w = SupportWitness(rw.kind, tuple(sorted(mapping[a] for a in a_side)), local_edges)
-        d = decompose_tdelta(sub, local_w, trace)
-        inverse = {new: old for old, new in mapping.items()}
-        decomps.append(_relabel_leaves(d, inverse))
-    return glue_multijoin(g.to_graph(), [x1, x2], decomps)
+    return split(w.host_adjacency(), range(g.a_size, g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +637,11 @@ def decomposition_from_json(data: dict, g) -> BranchDecomposition:
     leaves, tree_edges, spine = data["leaves"], data["tree_edges"], data.get("spine", [])
     if not (isinstance(leaves, dict) and _str_lists(tree_edges, 2) and _str_list(spine)):
         raise ValueError("decomposition needs leaves {name: token}, tree_edges [[name, name]], spine [name]")
-    names = [nm for e in tree_edges for nm in e]
-    leaf_names = sorted(leaves, key=lambda s: int(s[1:]))
-    ids = {nm: i for i, nm in enumerate(leaf_names)}
-    internal_names = sorted({nm for nm in names if nm not in ids}, key=lambda s: int(s[1:]))
-    for nm in internal_names:
+    internal = {nm for e in tree_edges for nm in e if nm not in leaves}
+    if not all(nm[:1] == p and _ascii_decimal(nm[1:]) for p, nms in (("t", leaves), ("s", internal)) for nm in nms):
+        raise ValueError("decomposition needs leaf names t<digits> and internal names s<digits>")
+    ids = {nm: i for i, nm in enumerate(sorted(leaves, key=lambda s: int(s[1:])))}
+    for nm in sorted(internal, key=lambda s: int(s[1:])):
         ids[nm] = len(ids)
     edges = [(ids[a], ids[b]) for a, b in tree_edges]
     tree = Graph.make(max(len(ids), 1), edges)

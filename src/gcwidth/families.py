@@ -10,7 +10,7 @@ import dataclasses
 import heapq
 import random
 
-from .graphs import BipartiteGraph
+from .graphs import BipartiteGraph, ascii_int
 from .supports import SupportWitness, verify_support
 
 FAMILIES = ("gk", "crown", "grid", "star_augment", "comb_augment", "random_hconvex")
@@ -266,11 +266,11 @@ def parse_genspec(text: str) -> GenSpec:
                 raise ValueError(f"bad spec fragment {kv!r}")
             key, val = kv.split("=", 1)
             if key == "seed":
-                seed = int(val)
+                seed = ascii_int(val)
             elif key in ("kind", "input"):
                 params[key] = val
             else:
-                params[key] = int(val)
+                params[key] = ascii_int(val)
     return GenSpec(family, params, seed)
 
 

@@ -128,6 +128,13 @@ def _ascii_decimal(tok) -> bool:
     return isinstance(tok, str) and tok.isascii() and tok.isdecimal()
 
 
+def ascii_int(text: str) -> int:
+    """int(text) for an optional '-' and ASCII digits; ValueError for anything else."""
+    if not _ascii_decimal(text.removeprefix("-")):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 def _bip_token(tok: str, a_size: int, b_size: int) -> int:
     side = tok[:1]
     if side not in ("a", "b") or not _ascii_decimal(tok[1:]):
@@ -259,41 +266,6 @@ def preorder(adj, root: int):
                 parent[y] = x
                 stack.append(y)
     return order, parent
-
-
-# ---------------------------------------------------------------------------
-# induced substructure
-
-
-def induced_subgraph(g, subset):
-    """Induced subgraph on `subset`, relabelled canonically.
-
-    Returns (subgraph of the same kind, mapping old vertex -> new vertex).
-    For bipartite inputs the subset may mix A and B vertices; sides are
-    relabelled separately, keeping A before B.
-    """
-    sub = set(subset)
-    for v in sub:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
-    if isinstance(g, BipartiteGraph):
-        a_keep = sorted(v for v in sub if v < g.a_size)
-        b_keep = sorted(v for v in sub if v >= g.a_size)
-        a_map = {old: i for i, old in enumerate(a_keep)}
-        nbrs = tuple(
-            frozenset(a_map[a] for a in g.adj[old - g.a_size] if a in a_map)
-            for old in b_keep
-        )
-        mapping = dict(a_map)
-        for i, old in enumerate(b_keep):
-            mapping[old] = len(a_keep) + i
-        return BipartiteGraph(len(a_keep), len(b_keep), nbrs), mapping
-    keep = sorted(sub)
-    mapping = {old: i for i, old in enumerate(keep)}
-    edges = frozenset(
-        (mapping[u], mapping[v]) for u, v in g.edges if u in sub and v in sub
-    )
-    return Graph(len(keep), edges), mapping
 
 
 # ---------------------------------------------------------------------------

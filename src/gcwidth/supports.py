@@ -67,19 +67,14 @@ class SupportWitness:
         return tuple(preorder(adj, min(v for v in self.vertices if len(adj[v]) <= 1))[0])
 
     def cycle_order(self) -> tuple[int, ...]:
-        """Circular order of a cycle-shaped host, canonical rotation."""
-        n = len(self.vertices)
-        if n <= 2:
+        """Circular order of a cycle-shaped host from its least vertex
+        toward that vertex's lesser neighbour."""
+        if not _is_cycle(self):
+            raise ValueError("host is not a cycle")
+        if len(self.vertices) <= 2:
             return tuple(sorted(self.vertices))
-        adj = self.host_adjacency()
-        start = min(self.vertices)
-        nxt = min(adj[start])
-        order = [start, nxt]
-        while len(order) < n:
-            cur, prev = order[-1], order[-2]
-            (following,) = adj[cur] - {prev}
-            order.append(following)
-        return tuple(order)
+        adj = {v: sorted(nbrs, reverse=True) for v, nbrs in self.host_adjacency().items()}
+        return tuple(preorder(adj, min(adj))[0])
 
 
 def _connected(adj, inside) -> bool:
@@ -381,29 +376,6 @@ def recognize_tdelta(g: BipartiteGraph, t: int, delta: int) -> SupportWitness | 
             if edges is not None:
                 return SupportWitness("tree", tuple(range(a)), edges)
     return None
-
-
-def restrict_support(w: SupportWitness, subset) -> SupportWitness:
-    """Witness restricted to `subset`, which must induce a connected subtree.
-
-    Vertex labels are preserved; kind is recomputed (path when the restricted
-    host has maximum degree <= 2, tree otherwise).
-    """
-    if w.kind == "cycle":
-        raise ValueError("cannot restrict a cycle witness")
-    sub = set(subset)
-    if not sub <= set(w.vertices):
-        raise ValueError("subset not within witness vertices")
-    edges = frozenset(e for e in w.host_edges if e[0] in sub and e[1] in sub)
-    adj = {v: set() for v in sub}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    if not _connected(adj, sub):
-        raise ValueError("subset not connected in host")
-    maxdeg = max((len(s) for s in adj.values()), default=0)
-    kind = "path" if maxdeg <= 2 else "tree"
-    return SupportWitness(kind, tuple(sorted(sub)), edges)
 
 
 # ---------------------------------------------------------------------------

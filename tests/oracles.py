@@ -1,11 +1,14 @@
 """Independent brute-force oracles used to pin expected test values.
 
 Everything here is deliberately naive (permutation / subset / Prufer
-enumeration) and shares no code with the package implementations.
+enumeration) and shares no code with the package implementations; only the
+sub-instance builders at the end return the package's value types.
 """
 
 import heapq
 from itertools import combinations, permutations, product
+
+from gcwidth import BipartiteGraph, Graph, SupportWitness
 
 
 # --- maximum induced matching -----------------------------------------------
@@ -424,6 +427,23 @@ def walk_path(adj, start, n):
     return tuple(order)
 
 
+def interleave_by_insertion(a_order, b_nbrs):
+    """A vertices in a_order, then each (b, N(b)) of b_nbrs in turn inserted
+    after its last A-neighbour in the sequence and the b's already there;
+    a b with no neighbour in a_order goes to the end, in turn."""
+    order, tail = list(a_order), []
+    for b, nb in b_nbrs:
+        hits = [i for i, x in enumerate(order) if x in a_order and x in nb]
+        if not hits:
+            tail.append(b)
+            continue
+        i = hits[-1] + 1
+        while i < len(order) and order[i] not in a_order:
+            i += 1
+        order.insert(i, b)
+    return order + tail
+
+
 def spider_legs(vertices, host_edges, u):
     """The components of a host tree minus u, least first, each as the path
     from its far end to u's neighbour in it, found by deleting each edge at u
@@ -438,3 +458,56 @@ def spider_legs(vertices, host_edges, u):
         (far,) = [v for v in comp if len(adj[v]) == 1]
         legs.append(list(walk_path(adj, far, len(comp))))
     return sorted(legs, key=min)
+
+
+# --- sub-instances of the reference constructions ---------------------------
+
+
+def induced_subgraph(g, subset):
+    """Induced subgraph on `subset`, relabelled canonically.
+
+    Returns (subgraph of the same kind, mapping old vertex -> new vertex).
+    For bipartite inputs the subset may mix A and B vertices; sides are
+    relabelled separately, keeping A before B.
+    """
+    sub = set(subset)
+    for v in sub:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} out of range")
+    if isinstance(g, BipartiteGraph):
+        a_keep = sorted(v for v in sub if v < g.a_size)
+        b_keep = sorted(v for v in sub if v >= g.a_size)
+        a_map = {old: i for i, old in enumerate(a_keep)}
+        nbrs = tuple(
+            frozenset(a_map[a] for a in g.adj[old - g.a_size] if a in a_map)
+            for old in b_keep
+        )
+        mapping = dict(a_map)
+        for i, old in enumerate(b_keep):
+            mapping[old] = len(a_keep) + i
+        return BipartiteGraph(len(a_keep), len(b_keep), nbrs), mapping
+    keep = sorted(sub)
+    mapping = {old: i for i, old in enumerate(keep)}
+    edges = frozenset(
+        (mapping[u], mapping[v]) for u, v in g.edges if u in sub and v in sub
+    )
+    return Graph(len(keep), edges), mapping
+
+
+def restrict_support(w, subset):
+    """Witness restricted to `subset`, which must induce a connected subtree.
+
+    Vertex labels are preserved; kind is recomputed (path when the restricted
+    host has maximum degree <= 2, tree otherwise).
+    """
+    if w.kind == "cycle":
+        raise ValueError("cannot restrict a cycle witness")
+    sub = set(subset)
+    if not sub <= set(w.vertices):
+        raise ValueError("subset not within witness vertices")
+    edges = frozenset(e for e in w.host_edges if e[0] in sub and e[1] in sub)
+    if not tree_connects_hyperedges(max(sub, default=-1) + 1, edges, [sub]):
+        raise ValueError("subset not connected in host")
+    degrees = [sum(v in e for e in edges) for v in sub]
+    kind = "path" if max(degrees, default=0) <= 2 else "tree"
+    return SupportWitness(kind, tuple(sorted(sub)), edges)

@@ -2,6 +2,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from gcwidth.cli import main
 from gcwidth.families import gen_crown, gen_random_hconvex
 from gcwidth.graphs import serialize_graph
@@ -346,7 +348,20 @@ class TestInputValidation:
         graph, _, dec = self.crown_artifacts(tmp_path)
         data = json.loads(dec.read_text())
         edges = data["tree_edges"]
-        for key, value in (
+
+        def renamed(old, new):
+            # the same decomposition with node `old` named `new` throughout
+            def swap(nm):
+                return new if nm == old else nm
+
+            return {
+                **data,
+                "leaves": {swap(nm): tok for nm, tok in data["leaves"].items()},
+                "tree_edges": [[swap(x), swap(y)] for x, y in edges],
+                "spine": [swap(nm) for nm in data["spine"]],
+            }
+
+        cases = [{**data, key: value} for key, value in (
             ("leaves", sorted(data["leaves"].values())),
             ("leaves", "t1"),
             ("tree_edges", {"e": edges}),
@@ -356,9 +371,15 @@ class TestInputValidation:
             ("tree_edges", 7),
             ("spine", "s1"),
             ("spine", [data["spine"]]),
-        ):
+        )]
+        # node names other than t<ASCII digits> for leaves and s<ASCII digits> inside
+        cases += [renamed(old, new) for old, new in (
+            ("t1", "x1"), ("t1", "t\u0661"), ("t1", "s99"), ("t1", "t"), ("t1", "t+1"),
+            ("s1", "x1"), ("s1", "s\u0661"), ("s1", "t99"),
+        )]
+        for case in cases:
             bad = tmp_path / "bad.decomposition.json"
-            bad.write_text(json.dumps({**data, key: value}))
+            bad.write_text(json.dumps(case))
             for cmd in ("width", "verify"):
                 err = assert_rejected(tmp_path, capsys, cmd, "--decomposition", str(bad), graph)
                 assert "decomposition needs" in err
@@ -476,6 +497,27 @@ class TestInputValidation:
             f = tmp_path / f"digits{i}.graph"
             f.write_text(text, encoding="utf-8")
             assert_rejected(tmp_path, capsys, "oracle", "--param", "mimw", str(f))
+
+    def test_integer_options_are_ascii(self, tmp_path, capsys):
+        graph, _, _ = self.crown_artifacts(tmp_path)
+        # an option value argparse rejects ends in exit 2, as "--t abc" does
+        for argv in (
+            ("--seed", "\u0667", "gen", "crown:n=4"),
+            ("--guard", "\u0663", "oracle", "--param", "thin", graph),
+            ("recognize", "--class", "tdelta", "--t", "\u0661", "--delta", "3", graph),
+            ("thin", "--t", "1", "--delta", "\u0663", graph),
+            ("decompose", "--class", "tdelta", "--t", "+1", graph),
+            ("recognize", "--class", "tdelta", "--t", "abc", graph),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                run(tmp_path, *argv)
+            assert exc.value.code == 2
+        for spec in ("crown:n=\u0665", "crown:n=+5", "crown:n=5_0", "random_hconvex:kind=path:seed=\u0667"):
+            assert "not an ASCII integer" in assert_rejected(tmp_path, capsys, "gen", spec)
+        # negative values keep their meaning: a seed, or an out-of-range t
+        assert run(tmp_path, "--seed", "-3", "gen", "random_hconvex:kind=path,a=4,b=4") == 0
+        assert (tmp_path / "out" / "hconvex_path_a4_b4_s-3.graph").exists()
+        assert "need t >= 0" in assert_rejected(tmp_path, capsys, "recognize", "--class", "tdelta", "--t", "-1", graph)
 
     def test_non_ascii_digits_in_witness(self, tmp_path, capsys):
         graph, witness, _ = self.crown_artifacts(tmp_path)

@@ -18,13 +18,11 @@ from gcwidth import (
     decomposition_from_json,
     decomposition_to_json,
     glue_multijoin,
-    induced_subgraph,
     max_induced_matching_cut,
     max_induced_matching_sim,
     mimw_oracle,
     multijoin_bound,
     representation_to_json,
-    restrict_support,
     simw_oracle,
     spider_bound,
     tdelta_bound,
@@ -32,6 +30,7 @@ from gcwidth import (
     validate_decomposition,
     width_of,
 )
+from gcwidth import decomp
 from gcwidth.decomp import construction_bound, interleave, pthin_bound, thin_bound
 from gcwidth.graphs import GraphFormatError, complete_bipartite, cycle_graph, path_graph
 from gcwidth.families import gen_crown, gen_random_hconvex
@@ -39,6 +38,9 @@ from gcwidth.families import gen_crown, gen_random_hconvex
 from oracles import (
     brute_max_induced_matching,
     brute_width,
+    induced_subgraph,
+    interleave_by_insertion,
+    restrict_support,
     spider_legs,
     tdelta_split,
     thin_classes_and_postorder,
@@ -297,6 +299,14 @@ class TestInterleave:
         )
         assert interleave(g, [2, 0, 1]) == [2, 6, 0, 3, 1, 5, 4]
 
+    def test_given_b_vertices_placed_within_a_order(self):
+        # the same graph, A order a3 a1 and B vertices b1 b3 b4: b3's only
+        # neighbour a2 is not in the order, so b3 goes to the end
+        g = BipartiteGraph(
+            3, 4, (frozenset({0, 2}), frozenset(), frozenset({1}), frozenset({2}))
+        )
+        assert interleave(g, [2, 0], [3, 5, 6]) == [2, 6, 0, 3, 5]
+
 
 class TestDecomposeConvex:
     def test_empty_b(self):
@@ -444,6 +454,10 @@ class TestDecomposeSpider:
             with pytest.raises(ValueError):
                 decompose_spider(g, host)
 
+    def test_support_checked_once(self, monkeypatch):
+        g, host = spider_instance(4)
+        assert verify_support_calls(monkeypatch, lambda: decompose_spider(g, host)) == 1
+
 
 class TestDecomposeTdelta:
     def test_t1_delegates_within_bound(self):
@@ -468,6 +482,11 @@ class TestDecomposeTdelta:
         for level in trace:
             assert level["cut"] <= level["delta"] * (level["t"] - 1)
 
+    def test_support_checked_once(self, monkeypatch):
+        g, w = gen_random_hconvex("tree", 20, 20, 3, t=3, delta=4)
+        assert len(w.branching) == 3
+        assert verify_support_calls(monkeypatch, lambda: decompose_tdelta(g, w, [])) == 1
+
     def test_split_choice_matches_per_edge_search(self):
         split_degrees = set()
         for t in range(2, 6):
@@ -480,6 +499,15 @@ class TestDecomposeTdelta:
                     assert decomposition_to_json(got, g) == decomposition_to_json(want, g)
                     assert trace == want_trace
         assert {3, 4} <= split_degrees
+
+
+def verify_support_calls(monkeypatch, build):
+    """The number of decomp.verify_support calls made by build()."""
+    calls = []
+    real = decomp.verify_support
+    monkeypatch.setattr(decomp, "verify_support", lambda g, w: calls.append(w) or real(g, w))
+    build()
+    return len(calls)
 
 
 def reference_tdelta(g, w, trace, split_degrees, spider=decompose_spider):
@@ -517,7 +545,7 @@ def reference_convex(g, a_order):
     a_order = list(a_order)
     if a_order[-1] < a_order[0]:
         a_order.reverse()
-    return caterpillar_from_ordering(interleave(g, a_order))
+    return caterpillar_from_ordering(interleave_by_insertion(a_order, b_neighbourhoods(g)))
 
 
 def reference_spider(g, w):
@@ -551,13 +579,18 @@ def reference_spider(g, w):
     return glue_multijoin(g.to_graph(), parts, decomps)
 
 
+def b_neighbourhoods(g):
+    return [(g.a_size + j, nb) for j, nb in enumerate(g.adj)]
+
+
 def reference_thin(g, w):
     """thin_from_tree_support with the host read by the oracles' three loops."""
     cls_of, count, postorder = thin_classes_and_postorder(w.vertices, w.host_edges)
     class_sets = [set(range(g.a_size, g.n))] + [set() for _ in range(1, count)]
     for a, c in cls_of.items():
         class_sets[c].add(a)
-    return ThinRepresentation(tuple(interleave(g, postorder)), tuple(frozenset(c) for c in class_sets if c))
+    order = interleave_by_insertion(postorder, b_neighbourhoods(g))
+    return ThinRepresentation(tuple(order), tuple(frozenset(c) for c in class_sets if c))
 
 
 class TestRootedWalksMatchReference:
@@ -575,6 +608,16 @@ class TestRootedWalksMatchReference:
             for b in range(3):
                 g = BipartiteGraph(1, b, tuple(frozenset({0} if j else ()) for j in range(b)))
                 yield g, SupportWitness(kind, (0,), frozenset())
+        # empty neighbourhoods at the front, middle and end of B, at t >= 2
+        for t in range(2, 6):
+            for seed in range(4):
+                delta = 3 + seed % 3
+                a = t * (delta - 1) + 2 + seed
+                g, w = gen_random_hconvex("tree", a, a, 50 + seed, t=t, delta=delta)
+                nbrs = list(g.adj)
+                for pos in (0, len(nbrs) // 2, len(nbrs) + 1):
+                    nbrs.insert(pos, frozenset())
+                yield BipartiteGraph(a, len(nbrs), tuple(nbrs)), w
 
     def test_thin_from_tree_support(self):
         for g, w in self.instances():

@@ -190,6 +190,12 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             parse_genspec("gk:k")
 
+    def test_values_are_ascii_integers(self):
+        assert parse_genspec("gk:k=-1:seed=-7") == GenSpec("gk", {"k": -1}, -7)
+        for spec in ("crown:n=\u0665", "crown:n=+5", "crown:n= 5", "crown:n=5_0", "crown:n=-", "gk:k=3:seed=\u0667"):
+            with pytest.raises(ValueError, match="not an ASCII integer"):
+                parse_genspec(spec)
+
     def test_run_gk(self):
         name, g, w = run_genspec(parse_genspec("gk:k=3"))
         assert g.n == 13 and w is None and "gk" in name

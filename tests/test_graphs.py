@@ -8,7 +8,6 @@ from gcwidth import (
     Graph,
     GraphFormatError,
     has_induced_pattern,
-    induced_subgraph,
     is_chordal_bipartite,
     parse_graph,
     pattern_k3_k3,
@@ -24,7 +23,7 @@ from gcwidth.graphs import (
 )
 from gcwidth.families import gen_random_hconvex
 
-from oracles import brute_has_induced_pattern, brute_is_chordal_bipartite
+from oracles import brute_has_induced_pattern, brute_is_chordal_bipartite, induced_subgraph
 
 
 def bip_c6():

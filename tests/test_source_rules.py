@@ -16,13 +16,32 @@ def test_no_runtime_assert():
     assert SOURCES and not found, f"assert statements in src: {found}"
 
 
+def _read_names(node) -> set[str]:
+    """The names loaded and the attributes read anywhere under node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)}
+
+
+def test_no_dead_private_helpers():
+    # a module-level _name function or class that no other top-level statement in src reads is dead code
+    statements = [(path, stmt) for path in SOURCES for stmt in ast.parse(path.read_text(), str(path)).body]
+    reads = [(stmt, _read_names(stmt)) for _, stmt in statements]
+    dead = [
+        f"{path.name}:{stmt.name}"
+        for path, stmt in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
+        and not any(stmt.name in names for other, names in reads if other is not stmt)
+    ]
+    assert statements and not dead, f"private helpers read nowhere else in src: {dead}"
+
+
 # Self-recursive functions allowed in src, each with the bound on its depth.
 RECURSION_ALLOWED = {
     "has_induced_pattern.place": "at most the pattern size",
     "_min_width_over_trees.insert": "at most the oracle guard",
     "_max_independent_set.solve": "at most the maximum matching size",
     "gen_gk": "k <= 5",
-    "decompose_tdelta": "at most t",
+    "decompose_tdelta.split": "at most t",
     "tree_support_degree_bounded.solve": "unbounded; to be replaced by polynomial support recognition",
 }
 

@@ -9,7 +9,6 @@ from gcwidth import (
     recognize_convex,
     recognize_star,
     recognize_tdelta,
-    restrict_support,
     tree_support_degree_bounded,
     verify_support,
     witness_from_json,
@@ -22,6 +21,8 @@ from oracles import (
     has_circular_order,
     has_path_order,
     has_tree_support,
+    restrict_support,
+    walk_path,
 )
 
 
@@ -245,6 +246,24 @@ class TestCorpusAgreement:
         g, w = gen_random_hconvex("tree", 12, 10, 1, t=2, delta=3)
         assert verify_support(g, w)
         assert recognize_tdelta(g, 2, 3) is not None
+
+
+class TestCycleOrder:
+    def test_walk_from_least_vertex_toward_lesser_neighbour(self):
+        witnesses = [gen_random_hconvex("cycle", 3 + seed % 15, 3, seed)[1] for seed in range(60)]
+        witnesses += [gen_crown(n)[1] for n in range(3, 9)]
+        for w in witnesses:
+            assert w.cycle_order() == walk_path(w.host_adjacency(), 0, len(w.vertices))
+        assert SupportWitness("cycle", (0, 1), frozenset({(0, 1)})).cycle_order() == (0, 1)
+
+    def test_non_cycle_rejected(self):
+        path = SupportWitness("cycle", (0, 1, 2, 3), frozenset({(0, 1), (1, 2), (2, 3)}))
+        two_triangles = SupportWitness(
+            "cycle", tuple(range(6)), frozenset({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)})
+        )
+        for w in (path, two_triangles):
+            with pytest.raises(ValueError, match="host is not a cycle"):
+                w.cycle_order()
 
 
 class TestRestrictSupport:
