@@ -213,8 +213,8 @@ def cmd_width(args, g):
 
 def cmd_oracle(args, g):
     params = [p.strip() for p in args.param.split(",") if p.strip()]
-    guard_small = args.guard if args.guard else 8
-    guard_thin = args.guard if args.guard else 13
+    guard_small = args.guard if args.guard is not None else 8
+    guard_thin = args.guard if args.guard is not None else 13
     measured = {}
     outputs = {}
     for param in params:

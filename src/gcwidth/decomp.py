@@ -158,14 +158,21 @@ def _max_independent_set(conflict: list[int], universe: int) -> int:
 
 
 def _mim_pair(adj_masks, xmask: int, ymask: int, mode: str):
-    """Maximum induced matching between the disjoint vertex sets X and Y.
-
-    mode "mim": the matching must be induced in the cut graph (only X-Y
-    edges forbid pairs); mode "sim": induced in the whole graph.  X-Y edges
-    are read off the smaller side.  Returns (size, tuple of matching edges).
-    """
+    """_mim_of_cut of the disjoint vertex sets X and Y, their X-Y edges read
+    off the smaller side."""
     small, big = (xmask, ymask) if xmask.bit_count() <= ymask.bit_count() else (ymask, xmask)
     cross = sorted((min(u, v), max(u, v)) for u in _bits(small) for v in _bits(adj_masks[u] & big))
+    return _mim_of_cut(adj_masks, cross, xmask, ymask, mode)
+
+
+def _mim_of_cut(adj_masks, cross, xmask: int, ymask: int, mode: str):
+    """Maximum induced matching between the disjoint vertex sets X and Y
+    whose X-Y edges are cross, sorted (min, max) pairs.
+
+    mode "mim": the matching must be induced in the cut graph (only X-Y
+    edges forbid pairs); mode "sim": induced in the whole graph.  Returns
+    (size, tuple of matching edges).
+    """
     cross = [(u, v) if (xmask >> u) & 1 else (v, u) for u, v in cross]
     m = len(cross)
     if m == 0:
@@ -222,8 +229,10 @@ def width_of(g: Graph | BipartiteGraph, d: BranchDecomposition, mode: str = "mim
     Ties go to the first edge in canonical (sorted) tree-edge order.  All
     edges are included: leaf edges contribute at most 1.
     Returns (width, CutReport or None for edgeless trees).  Cost: one rooted
-    pass over the tree; per tree edge, its side as a bitmask in O(1), a scan
-    of the smaller side's adjacency for the cut edges and an exact MIS.
+    pass over the tree; every graph edge is charged to the tree edges on the
+    path between its ends' leaves, so listing all cut edges costs the total
+    size of the cuts; then per tree edge its side as a bitmask in O(1) and an
+    exact MIS.
     """
     if mode not in ("mim", "sim"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -233,19 +242,34 @@ def width_of(g: Graph | BipartiteGraph, d: BranchDecomposition, mode: str = "mim
         return 0, None
     adj_masks = gg.adjacency_masks()
     order, parent = preorder(d.tree.adjacency(), 0)
+    depth = [0] * d.tree.n
+    for x in order[1:]:
+        depth[x] = depth[parent[x]] + 1
     # below[x]: the graph vertices on the leaves of x's subtree
     below = [0] * d.tree.n
+    leaf_of = [0] * gg.n
     for node, v in d.leaf_map.items():
         below[node] = 1 << v
+        leaf_of[v] = node
     for x in reversed(order[1:]):
         below[parent[x]] |= below[x]
+    # cut[x]: the edges across the tree edge above x, in sorted order
+    cut = [[] for _ in range(d.tree.n)]
+    for e in sorted(gg.edges):
+        x, y = leaf_of[e[0]], leaf_of[e[1]]
+        while x != y:
+            if depth[x] < depth[y]:
+                x, y = y, x
+            cut[x].append(e)
+            x = parent[x]
     full = (1 << gg.n) - 1
     best = -1
     best_report = None
     for (u, v) in sorted(d.tree.edges):
         # the side of u: u's subtree when u is the child, else all but v's
-        xmask = below[u] if parent[u] == v else full & ~below[v]
-        value, _ = _mim_pair(adj_masks, xmask, full & ~xmask, mode)
+        child = u if parent[u] == v else v
+        xmask = below[u] if child == u else full & ~below[v]
+        value, _ = _mim_of_cut(adj_masks, cut[child], xmask, full & ~xmask, mode)
         if value > best:
             best = value
             best_report = CutReport((u, v), tuple(_bits(xmask)), value)
@@ -640,6 +664,8 @@ def decomposition_from_json(data: dict, g) -> BranchDecomposition:
     internal = {nm for e in tree_edges for nm in e if nm not in leaves}
     if not all(nm[:1] == p and _ascii_decimal(nm[1:]) for p, nms in (("t", leaves), ("s", internal)) for nm in nms):
         raise ValueError("decomposition needs leaf names t<digits> and internal names s<digits>")
+    if not (set(spine) <= internal and len(set(spine)) == len(spine)):
+        raise ValueError("decomposition needs a spine of distinct internal nodes")
     ids = {nm: i for i, nm in enumerate(sorted(leaves, key=lambda s: int(s[1:])))}
     for nm in sorted(internal, key=lambda s: int(s[1:])):
         ids[nm] = len(ids)

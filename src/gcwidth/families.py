@@ -232,6 +232,8 @@ def gen_random_hconvex(
             }
         witness = SupportWitness("cycle", tuple(range(a_size)), frozenset(edges))
     elif kind == "tree":
+        if not 0 <= t <= a_size:
+            raise ValueError(f"need 0 <= t <= a = {a_size}, got t = {t}")
         edges = _random_degree_constrained_tree(rng, a_size, t, delta)
         witness = SupportWitness("tree", tuple(range(a_size)), frozenset(edges))
     else:

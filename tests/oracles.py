@@ -55,6 +55,19 @@ def brute_max_induced_matching(n, edges, side, mode):
     return best
 
 
+def scanned_cut_edges(n, edges, side):
+    """The edges across (side, rest) as sorted (min, max) pairs, listed by
+    scanning the neighbours of the smaller side."""
+    side = set(side)
+    rest = set(range(n)) - side
+    small, big = (side, rest) if len(side) <= len(rest) else (rest, side)
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return sorted((min(u, v), max(u, v)) for u in small for v in adj[u] & big)
+
+
 # --- host orders -------------------------------------------------------------
 
 

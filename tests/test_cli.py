@@ -371,6 +371,10 @@ class TestInputValidation:
             ("tree_edges", 7),
             ("spine", "s1"),
             ("spine", [data["spine"]]),
+            # a spine naming a leaf, a node of no edge, or one node twice
+            ("spine", ["t1"]),
+            ("spine", ["s99"]),
+            ("spine", data["spine"][:1] * 2),
         )]
         # node names other than t<ASCII digits> for leaves and s<ASCII digits> inside
         cases += [renamed(old, new) for old, new in (
@@ -518,6 +522,16 @@ class TestInputValidation:
         assert run(tmp_path, "--seed", "-3", "gen", "random_hconvex:kind=path,a=4,b=4") == 0
         assert (tmp_path / "out" / "hconvex_path_a4_b4_s-3.graph").exists()
         assert "need t >= 0" in assert_rejected(tmp_path, capsys, "recognize", "--class", "tdelta", "--t", "-1", graph)
+        for t in ("-1", "10"):
+            err = assert_rejected(tmp_path, capsys, "gen", f"random_hconvex:kind=tree,a=9,b=5,t={t}")
+            assert f"got t = {t}" in err
+
+    def test_guard_zero_is_a_guard(self, tmp_path, capsys):
+        graph = write_graph(tmp_path, gen_crown(3)[0])
+        for guard in ("0", "-1"):
+            for param in ("mimw", "thin"):
+                err = assert_rejected(tmp_path, capsys, "--guard", guard, "oracle", "--param", param, graph)
+                assert f"exceeds oracle guard {guard}" in err
 
     def test_non_ascii_digits_in_witness(self, tmp_path, capsys):
         graph, witness, _ = self.crown_artifacts(tmp_path)

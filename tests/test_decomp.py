@@ -41,6 +41,7 @@ from oracles import (
     induced_subgraph,
     interleave_by_insertion,
     restrict_support,
+    scanned_cut_edges,
     spider_legs,
     tdelta_split,
     thin_classes_and_postorder,
@@ -184,6 +185,40 @@ class TestWidthOf:
                 want, want_report = brute_width(n, g.edges, d.tree.edges, d.leaf_map, mode)
                 assert value == want
                 assert (report and (report.edge, report.side)) == want_report
+
+    def test_charged_cut_lists_equal_smaller_side_scans(self, monkeypatch):
+        # every tree edge's cut edges are charged along graph-edge tree paths;
+        # each list must be the scanned one, in the same (sorted) order
+        seen = []
+        mim_of_cut = decomp._mim_of_cut
+
+        def recording(adj_masks, cross, xmask, ymask, mode):
+            seen.append((list(cross), xmask))
+            return mim_of_cut(adj_masks, cross, xmask, ymask, mode)
+
+        monkeypatch.setattr(decomp, "_mim_of_cut", recording)
+        rng = random.Random(59)
+        cases = []
+        for _ in range(60):
+            d = random_subcubic_decomposition(rng, rng.randint(2, 30))
+            cases.append((random_graph(rng, len(d.leaf_map), rng.choice((0.15, 0.4))), d))
+        root_is_leaf = {0 in d.leaf_map for _, d in cases}
+        for seed in range(3):
+            for kind, build in (("path", decompose_convex), ("cycle", decompose_circular)):
+                g, w = gen_random_hconvex(kind, 40, 50, seed)
+                cases.append((g, build(g, w)))
+            g, w = gen_random_hconvex("tree", 40, 50, seed, t=2 + seed, delta=4)
+            cases.append((g, decompose_tdelta(g, w)))
+        for g, d in cases:
+            gg = g.to_graph()
+            for mode in ("mim", "sim"):
+                seen.clear()
+                width_of(g, d, mode)
+                assert len(seen) == len(d.tree.edges)
+                for cross, xmask in seen:
+                    side = [v for v in range(gg.n) if (xmask >> v) & 1]
+                    assert cross == scanned_cut_edges(gg.n, gg.edges, side)
+        assert root_is_leaf == {True, False}
 
     def test_spine_deeper_than_recursion_limit(self):
         n = 1200

@@ -171,6 +171,11 @@ class TestRandomHconvex:
         with pytest.raises(ValueError):
             gen_random_hconvex("tree", 3, 2, 0, t=2, delta=5)
 
+    def test_branching_count_checked_before_sampling(self):
+        for t in (-1, 10):
+            with pytest.raises(ValueError, match="t = "):
+                gen_random_hconvex("tree", 9, 5, 0, t=t, delta=3)
+
 
 class TestGenSpec:
     def test_parse(self):
