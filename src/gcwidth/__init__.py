@@ -60,8 +60,6 @@ from .thinness import (
     representation_from_json,
     representation_to_json,
     serialize_pathdecomp,
-    strongly_consistent_by_consecutiveness,
-    strongly_consistent_by_triples,
     thin_from_tree_support,
     thin_oracle,
     verify_consistent,

@@ -659,13 +659,18 @@ def decomposition_to_json(d: BranchDecomposition, g) -> dict:
 
 def decomposition_from_json(data: dict, g) -> BranchDecomposition:
     leaves, tree_edges, spine = data["leaves"], data["tree_edges"], data.get("spine", [])
-    if not (isinstance(leaves, dict) and _str_lists(tree_edges, 2) and _str_list(spine)):
-        raise ValueError("decomposition needs leaves {name: token}, tree_edges [[name, name]], spine [name]")
+    linear = data.get("linear", False)
+    if not (isinstance(leaves, dict) and _str_lists(tree_edges, 2) and _str_list(spine) and isinstance(linear, bool)):
+        raise ValueError("decomposition needs leaves {name: token}, tree_edges [[name, name]], spine [name], "
+                         "linear a boolean")
     internal = {nm for e in tree_edges for nm in e if nm not in leaves}
     if not all(nm[:1] == p and _ascii_decimal(nm[1:]) for p, nms in (("t", leaves), ("s", internal)) for nm in nms):
         raise ValueError("decomposition needs leaf names t<digits> and internal names s<digits>")
     if not (set(spine) <= internal and len(set(spine)) == len(spine)):
         raise ValueError("decomposition needs a spine of distinct internal nodes")
+    pairs = {frozenset(e) for e in tree_edges}
+    if not all(frozenset(e) in pairs for e in zip(spine, spine[1:])) or (linear and set(spine) != internal):
+        raise ValueError("decomposition needs a spine along tree edges, through every internal node when linear")
     ids = {nm: i for i, nm in enumerate(sorted(leaves, key=lambda s: int(s[1:])))}
     for nm in sorted(internal, key=lambda s: int(s[1:])):
         ids[nm] = len(ids)
@@ -673,4 +678,4 @@ def decomposition_from_json(data: dict, g) -> BranchDecomposition:
     tree = Graph.make(max(len(ids), 1), edges)
     leaf_map = {ids[nm]: parse_vertex_token(g, tok) for nm, tok in leaves.items()}
     spine = tuple(ids[nm] for nm in spine)
-    return BranchDecomposition(tree, leaf_map, bool(data.get("linear", False)), spine)
+    return BranchDecomposition(tree, leaf_map, linear, spine)

@@ -146,8 +146,6 @@ def _prufer_tree(seq: list[int], n: int) -> set[tuple[int, int]]:
 def _random_degree_constrained_tree(rng, n, t, delta):
     """Random labelled tree with exactly t branching vertices and maximum
     degree exactly delta, via a degree-prescribed random multiset sequence."""
-    if n == 1:
-        return set()
     if t == 0:
         order = list(range(n))
         rng.shuffle(order)

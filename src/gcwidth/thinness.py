@@ -10,6 +10,7 @@ co-classed pairs.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 
 from .decomp import BranchDecomposition, SizeGuardError, _bits, caterpillar_from_ordering, interleave
 from .graphs import BipartiteGraph, Graph, _str_list, _str_lists, parse_vertex_token, preorder, vertex_token
@@ -44,65 +45,41 @@ def _check_representation(g: Graph, r: ThinRepresentation) -> None:
         raise ValueError("empty class")
 
 
+def _suffix_closed(adj: list[set[int]], classes, order) -> bool:
+    """The triple condition read along order: for every vertex t and class j,
+    the class-j neighbours of t placed before t are exactly the last c class-j
+    members before t, where c is their count.  One bisection per (t, j) pair
+    with such a neighbour, so O(m log n) in all."""
+    pos = {v: i for i, v in enumerate(order)}
+    class_of = {v: j for j, cls in enumerate(classes) for v in cls}
+    spots = [sorted(pos[v] for v in cls) for cls in classes]
+    for t, p in pos.items():
+        count: dict[int, int] = {}
+        first: dict[int, int] = {}
+        for u in adj[t]:
+            q = pos[u]
+            if q < p:
+                j = class_of[u]
+                count[j] = count.get(j, 0) + 1
+                first[j] = min(first.get(j, q), q)
+        for j, c in count.items():
+            if spots[j][bisect_left(spots[j], p) - c] != first[j]:
+                return False
+    return True
+
+
 def verify_consistent(g: Graph, r: ThinRepresentation) -> bool:
     """Triple condition: r<s<t, v_r,v_s co-classed, v_r v_t in E => v_s v_t in E."""
     _check_representation(g, r)
-    adj = g.adjacency()
-    pos = {v: i for i, v in enumerate(r.order)}
-    for cls in r.classes:
-        members = sorted(cls, key=pos.get)
-        for i, vr in enumerate(members):
-            for vs in members[i + 1 :]:
-                ps = pos[vs]
-                for vt in adj[vr]:
-                    if pos[vt] > ps and vt not in adj[vs]:
-                        return False
-    return True
-
-
-def strongly_consistent_by_triples(g: Graph, r: ThinRepresentation) -> bool:
-    """Both triple conditions, checked directly on ordered co-class pairs."""
-    if not verify_consistent(g, r):
-        return False
-    adj = g.adjacency()
-    pos = {v: i for i, v in enumerate(r.order)}
-    for cls in r.classes:
-        members = sorted(cls, key=pos.get)
-        for i, vs in enumerate(members):
-            for vt in members[i + 1 :]:
-                ps = pos[vs]
-                for vr in adj[vt]:
-                    if pos[vr] < ps and vr not in adj[vs]:
-                        return False
-    return True
-
-
-def strongly_consistent_by_consecutiveness(g: Graph, r: ThinRepresentation) -> bool:
-    """Equivalent strong-consistency test: for every v and class j, the set
-    N[v] intersected with (V^j + v) must be consecutive in V^j + v."""
-    _check_representation(g, r)
-    adj = g.adjacency()
-    pos = {v: i for i, v in enumerate(r.order)}
-    for v in range(g.n):
-        closed = adj[v] | {v}
-        for cls in r.classes:
-            pool = sorted(cls | {v}, key=pos.get)
-            flags = [x in closed for x in pool]
-            if True in flags:
-                first = flags.index(True)
-                last = len(flags) - 1 - flags[::-1].index(True)
-                if not all(flags[first : last + 1]):
-                    return False
-    return True
+    return _suffix_closed(g.adjacency(), r.classes, r.order)
 
 
 def verify_strongly_consistent(g: Graph, r: ThinRepresentation) -> bool:
-    """Both triple conditions; cross-checked against the consecutiveness
-    characterization, which must agree."""
-    by_triples = strongly_consistent_by_triples(g, r)
-    if by_triples != strongly_consistent_by_consecutiveness(g, r):
-        raise AssertionError("strong-consistency tests disagree")
-    return by_triples
+    """Both triple conditions; the mirrored one (s,t co-classed) is the first
+    read from right to left."""
+    _check_representation(g, r)
+    adj = g.adjacency()
+    return _suffix_closed(adj, r.classes, r.order) and _suffix_closed(adj, r.classes, r.order[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +345,11 @@ def representation_to_json(r: ThinRepresentation, g) -> dict:
 
 
 def representation_from_json(data: dict, g) -> ThinRepresentation:
-    order, classes = data["order"], data["classes"]
-    if not (_str_list(order) and _str_lists(classes)):
-        raise ValueError("representation needs order [token], classes [[token]]")
+    order, classes, strong = data["order"], data["classes"], data.get("strong", False)
+    if not (_str_list(order) and _str_lists(classes) and isinstance(strong, bool)):
+        raise ValueError("representation needs order [token], classes [[token]], strong a boolean")
     return ThinRepresentation(
         tuple(parse_vertex_token(g, t) for t in order),
         tuple(frozenset(parse_vertex_token(g, t) for t in c) for c in classes),
-        bool(data.get("strong", False)),
+        strong,
     )

@@ -246,6 +246,61 @@ def brute_thinness(n, edges, proper=False):
     return best
 
 
+def _neighbour_sets(g):
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def consistent_by_triples(g, r):
+    """The triple condition on ordered co-class pairs: r < s < t with v_r,
+    v_s co-classed and v_r v_t in E forces v_s v_t in E."""
+    adj = _neighbour_sets(g)
+    pos = {v: i for i, v in enumerate(r.order)}
+    for cls in r.classes:
+        members = sorted(cls, key=pos.get)
+        for i, vr in enumerate(members):
+            for vs in members[i + 1 :]:
+                if any(pos[vt] > pos[vs] and vt not in adj[vs] for vt in adj[vr]):
+                    return False
+    return True
+
+
+def strongly_consistent_by_triples(g, r):
+    """Both triple conditions; the mirrored one: r < s < t with v_s, v_t
+    co-classed and v_r v_t in E forces v_r v_s in E."""
+    if not consistent_by_triples(g, r):
+        return False
+    adj = _neighbour_sets(g)
+    pos = {v: i for i, v in enumerate(r.order)}
+    for cls in r.classes:
+        members = sorted(cls, key=pos.get)
+        for i, vs in enumerate(members):
+            for vt in members[i + 1 :]:
+                if any(pos[vr] < pos[vs] and vr not in adj[vs] for vr in adj[vt]):
+                    return False
+    return True
+
+
+def strongly_consistent_by_consecutiveness(g, r):
+    """Bonomo and de Estrada's characterization: for every v and class j, the
+    members of N[v] in V^j + v are consecutive in V^j + v."""
+    adj = _neighbour_sets(g)
+    pos = {v: i for i, v in enumerate(r.order)}
+    for v in range(g.n):
+        closed = adj[v] | {v}
+        for cls in r.classes:
+            flags = [x in closed for x in sorted(cls | {v}, key=pos.get)]
+            if True in flags:
+                first = flags.index(True)
+                last = len(flags) - 1 - flags[::-1].index(True)
+                if not all(flags[first : last + 1]):
+                    return False
+    return True
+
+
 # --- chordal bipartite / patterns ---------------------------------------------
 
 

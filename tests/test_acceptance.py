@@ -34,7 +34,6 @@ from gcwidth import (
     recognize_star,
     simw_oracle,
     spider_bound,
-    strongly_consistent_by_consecutiveness,
     tdelta_bound,
     thin_from_tree_support,
     thin_oracle,
@@ -44,9 +43,9 @@ from gcwidth import (
     verify_support,
     width_of,
 )
-from gcwidth.thinness import ThinRepresentation, strongly_consistent_by_triples
+from gcwidth.thinness import ThinRepresentation
 
-from oracles import brute_max_induced_matching
+from oracles import brute_max_induced_matching, strongly_consistent_by_consecutiveness, strongly_consistent_by_triples
 from test_thinness import random_q_path
 
 

@@ -375,7 +375,12 @@ class TestInputValidation:
             ("spine", ["t1"]),
             ("spine", ["s99"]),
             ("spine", data["spine"][:1] * 2),
+            # a linear decomposition whose spine stops short of an internal node
+            ("spine", data["spine"][:-1]),
+            ("linear", "false"),
         )]
+        # spine nodes that are not consecutive along tree edges
+        cases.append({**data, "linear": False, "spine": ["s1", "s8"]})
         # node names other than t<ASCII digits> for leaves and s<ASCII digits> inside
         cases += [renamed(old, new) for old, new in (
             ("t1", "x1"), ("t1", "t\u0661"), ("t1", "s99"), ("t1", "t"), ("t1", "t+1"),
@@ -426,6 +431,7 @@ class TestInputValidation:
             ("classes", data["order"]),
             ("classes", [[1]]),
             ("classes", {"c": data["classes"]}),
+            ("strong", "no"),
         ):
             rf = tmp_path / "rep.json"
             rf.write_text(json.dumps({**data, key: value}))

@@ -175,6 +175,10 @@ class TestRandomHconvex:
         for t in (-1, 10):
             with pytest.raises(ValueError, match="t = "):
                 gen_random_hconvex("tree", 9, 5, 0, t=t, delta=3)
+        # one vertex has no room for a branching vertex, like two
+        for a in (1, 2):
+            with pytest.raises(ValueError, match="is feasible"):
+                gen_random_hconvex("tree", a, 3, 0, t=1, delta=3)
 
 
 class TestGenSpec:

@@ -35,6 +35,37 @@ def test_no_dead_private_helpers():
     assert statements and not dead, f"private helpers read nowhere else in src: {dead}"
 
 
+# Public functions that no other statement in src reads, each with the reason it stays.
+UNREAD_ALLOWED = {
+    "max_induced_matching_sim": "library entry point for the sim cut, beside max_induced_matching_cut",
+    "multijoin_bound": "library form of the multijoin width bound, checked in tests",
+    "glue_multijoin": "checked entry point of the multijoin gluing",
+    "is_chordal_bipartite": "library recognizer, cross-checked against brute force in tests",
+    "pattern_k3_s3": "forbidden pattern for has_induced_pattern",
+    "pattern_k3_k3": "forbidden pattern for has_induced_pattern",
+    "has_induced_pattern": "library pattern test behind acceptance criterion 11",
+    "complete_bipartite": "small graph builder used by tests",
+    "cycle_graph": "small graph builder used by tests",
+    "path_graph": "small graph builder used by tests",
+    "serialize_pathdecomp": "writes bag files; perfbench writes its inputs with it",
+}
+
+
+def test_no_unread_public_functions():
+    # a public top-level function that nothing else in src reads is dead code or belongs on the allow-list
+    statements = [(path, stmt) for path in SOURCES if path.name != "__init__.py"
+                  for stmt in ast.parse(path.read_text(), str(path)).body]
+    reads = [(stmt, _read_names(stmt)) for _, stmt in statements]
+    unread = {
+        stmt.name
+        for _, stmt in statements
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+        and not any(stmt.name in names for other, names in reads if other is not stmt)
+    }
+    assert unread - UNREAD_ALLOWED.keys() == set(), "public functions read nowhere else in src"
+    assert UNREAD_ALLOWED.keys() - unread == set(), "stale allow-list entries"
+
+
 # Self-recursive functions allowed in src, each with the bound on its depth.
 RECURSION_ALLOWED = {
     "has_induced_pattern.place": "at most the pattern size",

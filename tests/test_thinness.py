@@ -16,7 +16,6 @@ from gcwidth import (
     representation_from_json,
     representation_to_json,
     serialize_pathdecomp,
-    strongly_consistent_by_consecutiveness,
     thin_from_tree_support,
     thin_oracle,
     verify_consistent,
@@ -28,7 +27,12 @@ from gcwidth import thinness
 from gcwidth.graphs import complete_bipartite, cycle_graph, path_graph
 from gcwidth.families import gen_crown, gen_gk, gen_random_hconvex
 
-from oracles import brute_thinness
+from oracles import (
+    brute_thinness,
+    consistent_by_triples,
+    strongly_consistent_by_consecutiveness,
+    strongly_consistent_by_triples,
+)
 
 
 def random_graph(rng, n, p=0.4):
@@ -44,6 +48,23 @@ def random_representation(rng, n, k):
         blocks[rng.randrange(k)].add(v)
     classes = tuple(frozenset(b) for b in blocks if b)
     return ThinRepresentation(tuple(order), classes)
+
+
+def edited(rng, r, steps):
+    """r after `steps` random edits, each a swap of two neighbours in the
+    order or a vertex moved to a random class."""
+    order = list(r.order)
+    classes = [set(c) for c in r.classes]
+    for _ in range(steps):
+        if rng.random() < 0.5:
+            i = rng.randrange(len(order) - 1)
+            order[i], order[i + 1] = order[i + 1], order[i]
+        else:
+            v = rng.choice(order)
+            for c in classes:
+                c.discard(v)
+            rng.choice(classes).add(v)
+    return ThinRepresentation(tuple(order), tuple(frozenset(c) for c in classes if c))
 
 
 def random_q_path(rng, n, q):
@@ -109,12 +130,29 @@ class TestVerifiers:
             )
 
     def test_characterizations_agree_on_random_pairs(self):
+        # the verifiers against the triple and consecutiveness references, on
+        # random pairs and on both constructions' outputs with 1-2 edits each
         rng = random.Random(99)
+        cases = []
         for _ in range(300):
             n = rng.randint(1, 7)
             g = random_graph(rng, n)
-            r = random_representation(rng, n, rng.randint(1, max(1, n)))
-            assert verify_strongly_consistent(g, r) == strongly_consistent_by_consecutiveness(g, r)
+            cases.append((g, random_representation(rng, n, rng.randint(1, max(1, n)))))
+        built = []
+        for seed in range(30):
+            g, p = random_q_path(rng, rng.randint(2, 40), rng.randint(1, 3))
+            built.append((g, pathdecomp_to_pthin(g, p)))
+            a, b = rng.randint(8, 30), rng.randint(1, 30)
+            gb, w = gen_random_hconvex("tree", a, b, seed, t=rng.randint(0, 2), delta=rng.randint(3, 4))
+            built.append((gb.to_graph(), thin_from_tree_support(gb, w)))
+        cases += built + [(g, edited(rng, r, steps)) for g, r in built for steps in (1, 2, 2)]
+        answers = set()
+        for g, r in cases:
+            consistent, strong = verify_consistent(g, r), verify_strongly_consistent(g, r)
+            assert consistent == consistent_by_triples(g, r)
+            assert strong == strongly_consistent_by_triples(g, r) == strongly_consistent_by_consecutiveness(g, r)
+            answers |= {("consistent", consistent), ("strong", strong)}
+        assert len(answers) == 4
 
 
 class TestThinOracle:
