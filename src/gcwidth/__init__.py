@@ -10,11 +10,7 @@ from .graphs import (
     BipartiteGraph,
     Graph,
     GraphFormatError,
-    has_induced_pattern,
-    is_chordal_bipartite,
     parse_graph,
-    pattern_k3_k3,
-    pattern_k3_s3,
     serialize_graph,
 )
 from .supports import (

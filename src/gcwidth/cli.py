@@ -326,12 +326,10 @@ def cmd_verify(args, g):
             ok = False
     elif args.representation:
         rep = thinness.representation_from_json(_load_json(args.representation), g)
-        if args.strong:
-            ok = thinness.verify_strongly_consistent(gg, rep)
-        else:
-            ok = thinness.verify_consistent(gg, rep)
+        strong = args.strong or rep.strong
+        ok = (thinness.verify_strongly_consistent if strong else thinness.verify_consistent)(gg, rep)
         measured["consistent"] = ok
-        measured["strong"] = bool(args.strong)
+        measured["strong"] = strong
     elif args.pathdecomp:
         pd = thinness.parse_pathdecomp(Path(args.pathdecomp).read_text(), g)
         ok, width = thinness.verify_pathdecomp(gg, pd)

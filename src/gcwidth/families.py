@@ -155,6 +155,10 @@ def _random_degree_constrained_tree(rng, n, t, delta):
         }
     if delta < 3:
         raise ValueError("branching vertices need delta >= 3")
+    # t branching vertices of least degrees delta, 3, .., 3 force
+    # 2 + (delta - 2) + (t - 1) leaves, so t + delta + t - 1 vertices
+    if delta + 2 * t - 1 > n:
+        raise ValueError(f"no ({t},{delta})-tree on {n} vertices is feasible")
     for _ in range(10000):
         branch = sorted(rng.sample(range(n), t))
         degs = {}

@@ -184,20 +184,89 @@ def tree_support_degree_bounded(n: int, hyperedges, caps) -> frozenset[tuple[int
     ground vertices) inducing a subtree and deg(i) <= caps[i] for all i, or
     None when none exists.
 
-    Exact branch and bound over partial forests.  At each node the first
-    unsatisfied hyperedge (smallest first) is selected and the component of
-    its least member is connected to the rest of the hyperedge by one new
-    edge; a branch dies when two members of a hyperedge are already joined
-    by a forest path that leaves the hyperedge, since no supertree can then
-    induce a connected subgraph on it.
+    Exact.  _support_pairs decides in polynomial time whether any tree
+    support exists and finds the pairs that lie on one; only when one
+    exists does the capped branch and bound run, on those pairs.
     """
     caps = list(caps)
     if len(caps) != n:
         raise ValueError("cap count must match ground size")
     if n == 0:
         raise ValueError("empty ground set")
-    if n == 1:
-        return frozenset()
+    return _capped_support(n, hyperedges, caps, _support_pairs(n, hyperedges))
+
+
+def _support_pairs(n: int, hyperedges):
+    """The pairs (u, v), u < v, that lie on some tree support of the
+    hyperedges over 0..n-1, or None when there is no tree support.
+
+    Weight each pair by the number of hyperedges holding both ends.  Any
+    spanning tree T weighs sum_e |E(T[e])| <= sum_e (|e| - 1), with equality
+    iff every hyperedge induces a subtree, so the supports are exactly the
+    maximum-weight spanning trees when that weight is reached.  Kruskal over
+    the weight classes, heaviest first: a pair lies in some maximum-weight
+    spanning tree iff no strictly heavier pairs already join its ends.
+
+    Returns (pairs, part): the pairs of positive weight that qualify, and
+    each vertex's component under the positive pairs.  A pair of weight 0
+    qualifies iff its ends lie in different components; those pairs are not
+    listed, as there can be Θ(n²) of them.
+    """
+    targets = {he for he in hyperedges if len(he) >= 2}
+    weight: dict[tuple[int, int], int] = {}
+    for he in targets:
+        for pair in combinations(sorted(he), 2):
+            weight[pair] = weight.get(pair, 0) + 1
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for pair, c in weight.items():
+        classes.setdefault(c, []).append(pair)
+    rep = list(range(n))
+
+    def find(x):
+        while rep[x] != x:
+            rep[x] = rep[rep[x]]
+            x = rep[x]
+        return x
+
+    allowed = []
+    total = 0
+    for c in sorted(classes, reverse=True):
+        joins = [(u, v) for u, v in classes[c] if find(u) != find(v)]
+        allowed += joins
+        for u, v in joins:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                rep[ru] = rv
+                total += c
+    if total < sum(len(he) - 1 for he in targets):
+        return None
+    return frozenset(allowed), [find(v) for v in range(n)]
+
+
+def _capped_support(n: int, hyperedges, caps, support) -> frozenset[tuple[int, int]] | None:
+    """tree_support_degree_bounded with the ground set and caps checked and
+    `support` = _support_pairs(n, hyperedges).
+
+    n - 1 pairs of positive weight spanning one component form the only
+    support, so only its degrees are checked.  Otherwise an exact branch and
+    bound over partial forests runs.
+    At each node the first unsatisfied hyperedge (smallest first) is
+    selected and the component of its least member is connected to the rest
+    of the hyperedge by one new allowed edge; a branch dies when two members
+    of a hyperedge are already joined by a forest path that leaves the
+    hyperedge, since no supertree can then induce a connected subgraph on
+    it.  An edge that _support_pairs rejects is on no support, so skipping
+    it changes neither the answer nor the tree found.
+    """
+    if support is None:
+        return None
+    pairs, part = support
+    if len(pairs) == n - 1 and len(set(part)) == 1:
+        deg = [0] * n
+        for u, v in pairs:
+            deg[u] += 1
+            deg[v] += 1
+        return pairs if all(d <= c for d, c in zip(deg, caps)) else None
     targets = sorted(
         {he for he in hyperedges if len(he) >= 2},
         key=lambda s: (len(s), sorted(s)),
@@ -259,6 +328,8 @@ def tree_support_degree_bounded(n: int, hyperedges, caps) -> frozenset[tuple[int
                 if deg[v] >= caps[v]:
                     continue
                 edge = (min(u, v), max(u, v))
+                if edge not in pairs and part[u] == part[v]:
+                    continue
                 edges.append(edge)
                 deg[u] += 1
                 deg[v] += 1
@@ -358,21 +429,27 @@ def recognize_star(g: BipartiteGraph) -> SupportWitness | None:
 def recognize_tdelta(g: BipartiteGraph, t: int, delta: int) -> SupportWitness | None:
     """Tree support with at most t branching vertices and max degree <= delta.
 
-    Iterates over all A-subsets of size 0..t, capping the chosen vertices at
-    degree delta and everything else at 2, and runs the exact degree-bounded
-    search on each cap assignment.  Empty iff no subset succeeds.
+    Answers None at once when A has no tree support at any degree (the
+    polynomial maximum-weight spanning tree test of _support_pairs).
+    Otherwise iterates over all A-subsets of size 0..t, capping the chosen
+    vertices at degree delta and everything else at 2, and runs the exact
+    degree-bounded search on each cap assignment, over the pairs that lie
+    on some support.  None iff no subset succeeds.
     """
     if t < 0 or delta < 2:
         raise ValueError("need t >= 0 and delta >= 2")
     a = g.a_size
     if a == 0:
         return SupportWitness("tree", (), frozenset())
+    support = _support_pairs(a, g.adj)
+    if support is None:
+        return None
     for size in range(0, t + 1):
         for chosen in combinations(range(a), size):
             caps = [2] * a
             for v in chosen:
                 caps[v] = delta
-            edges = tree_support_degree_bounded(a, g.adj, caps)
+            edges = _capped_support(a, g.adj, caps, support)
             if edges is not None:
                 return SupportWitness("tree", tuple(range(a)), edges)
     return None

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive (permutation / subset / Prufer
 enumeration) and shares no code with the package implementations; only the
-sub-instance builders at the end return the package's value types.
+sub-instance builders at the end return the package's value types.  The
+chordal-bipartite test and the induced-pattern search have no caller in the
+package; they live here beside their brute-force cross-checks.
 """
 
 import heapq
@@ -357,6 +359,116 @@ def brute_has_induced_pattern(gn, g_edges, pn, p_edges):
             if ok:
                 return True
     return False
+
+
+def is_chordal_bipartite(g) -> bool:
+    """True iff every induced cycle of g has exactly four vertices.
+
+    Accepts Graph or BipartiteGraph.  Non-bipartite graphs fail as soon as
+    an odd induced cycle is found (triangles included), which makes the test
+    usable on the forbidden-pattern graphs as well.
+    """
+    adj = g.to_graph().adjacency()
+
+    # Grow induced paths s,x1,..,xk with min vertex s depth-first, one
+    # neighbour iterator per path vertex after s; the only permitted chord
+    # back to s is the one closing the cycle.
+    def extend(s, x1):
+        path, on_path = [s, x1], {s, x1}
+        nexts = [iter(sorted(adj[x1]))]
+        while nexts:
+            w = next(nexts[-1], None)
+            if w is None:
+                nexts.pop()
+                on_path.remove(path.pop())
+                continue
+            if w <= s or w in on_path:
+                continue
+            # w is adjacent to the last vertex; any further path neighbour but s is a chord
+            hits = adj[w] & on_path
+            if len(hits - {s}) > 1:
+                continue
+            if s in hits:
+                if len(path) + 1 != 4:
+                    return False  # induced cycle (triangle or >= 5) found
+                continue  # closes a C4; extending past w would add a chord
+            path.append(w)
+            on_path.add(w)
+            nexts.append(iter(sorted(adj[w])))
+        return True
+
+    for s in range(g.n):
+        for x1 in sorted(adj[s]):
+            if x1 > s and not extend(s, x1):
+                return False
+    return True
+
+
+def pattern_k3_s3() -> Graph:
+    """Triangle 0,1,2 with a pendant vertex attached to each corner."""
+    return Graph.make(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)])
+
+
+def pattern_k3_k3() -> Graph:
+    """Two triangles 0,1,2 and 3,4,5 joined by a perfect matching."""
+    return Graph.make(
+        6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)]
+    )
+
+
+def has_induced_pattern(g: Graph, p: Graph) -> bool:
+    """True iff g contains an induced subgraph isomorphic to p.
+
+    Backtracking over injective mappings with degree pruning; intended for
+    patterns on at most ~8 vertices.
+    """
+    if p.n > g.n:
+        raise ValueError("pattern larger than host")
+    if p.n == 0:
+        return True
+    g_adj = g.adjacency()
+    p_adj = p.adjacency()
+    g_deg = [len(s) for s in g_adj]
+    p_deg = [len(s) for s in p_adj]
+
+    # map pattern vertices in an order that keeps the partial image connected
+    # where possible (first vertex = max degree, then most-anchored next).
+    order = [max(range(p.n), key=lambda v: p_deg[v])]
+    remaining = set(range(p.n)) - set(order)
+    while remaining:
+        nxt = max(
+            remaining,
+            key=lambda v: (sum(1 for u in order if u in p_adj[v]), p_deg[v]),
+        )
+        order.append(nxt)
+        remaining.remove(nxt)
+
+    image = [-1] * p.n
+    used = set()
+
+    def place(i):
+        if i == len(order):
+            return True
+        pv = order[i]
+        for gv in range(g.n):
+            if gv in used or g_deg[gv] < p_deg[pv]:
+                continue
+            ok = True
+            for pu in order[:i]:
+                adj_required = pu in p_adj[pv]
+                if (image[pu] in g_adj[gv]) != adj_required:
+                    ok = False
+                    break
+            if ok:
+                image[pv] = gv
+                used.add(gv)
+                if place(i + 1):
+                    return True
+                used.remove(gv)
+                image[pv] = -1
+        return False
+
+    return place(0)
 
 
 # --- width of a decomposition and the (t,delta) split ------------------------

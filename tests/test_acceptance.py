@@ -21,14 +21,10 @@ from gcwidth import (
     gen_gk,
     gen_grid,
     gen_random_hconvex,
-    has_induced_pattern,
-    is_chordal_bipartite,
     linear_bd_from_thin,
     max_induced_matching_cut,
     mimw_oracle,
     pathdecomp_to_pthin,
-    pattern_k3_k3,
-    pattern_k3_s3,
     pthin_oracle,
     recognize_circular,
     recognize_star,
@@ -45,7 +41,15 @@ from gcwidth import (
 )
 from gcwidth.thinness import ThinRepresentation
 
-from oracles import brute_max_induced_matching, strongly_consistent_by_consecutiveness, strongly_consistent_by_triples
+from oracles import (
+    brute_max_induced_matching,
+    has_induced_pattern,
+    is_chordal_bipartite,
+    pattern_k3_k3,
+    pattern_k3_s3,
+    strongly_consistent_by_consecutiveness,
+    strongly_consistent_by_triples,
+)
 from test_thinness import random_q_path
 
 

@@ -262,6 +262,25 @@ class TestVerifyCommand:
         rf.write_text(json.dumps(representation_to_json(rep, g)))
         assert run(tmp_path, "verify", "--representation", str(rf), f) == 0
 
+    def test_representation_checked_as_strong_when_the_file_says_so(self, tmp_path):
+        from gcwidth import witness_to_json
+
+        g, w = gen_random_hconvex("tree", 8, 8, 3, t=1, delta=3)
+        f = write_graph(tmp_path, g)
+        wf = tmp_path / "w.json"
+        wf.write_text(json.dumps(witness_to_json(w)))
+        assert run(tmp_path, "thin", "--witness", str(wf), f) == 0
+        rf = tmp_path / "out" / "input.thin.json"
+        rep = json.loads(rf.read_text())
+        assert rep["strong"] is False
+        assert run(tmp_path, "verify", "--representation", str(rf), f) == 0
+        assert read_runs(tmp_path)[-1]["measured"] == {"consistent": True, "strong": False}
+        assert run(tmp_path, "verify", "--representation", str(rf), "--strong", f) == 1
+        rep["strong"] = True
+        rf.write_text(json.dumps(rep))
+        assert run(tmp_path, "verify", "--representation", str(rf), f) == 1
+        assert read_runs(tmp_path)[-1]["measured"] == {"consistent": False, "strong": True}
+
     def test_pathdecomp(self, tmp_path):
         f = tmp_path / "p3.graph"
         f.write_text("graph 3\ne 1 2\ne 2 3\n")

@@ -5,6 +5,7 @@ import pytest
 from gcwidth import (
     BipartiteGraph,
     GenSpec,
+    SupportWitness,
     augment_comb,
     augment_star,
     comb_witness_for_augmented,
@@ -19,6 +20,7 @@ from gcwidth import (
     star_witness_for_augmented,
     verify_support,
 )
+from gcwidth.families import _random_degree_constrained_tree
 
 
 def random_bipartite(rng, a, b):
@@ -179,6 +181,22 @@ class TestRandomHconvex:
         for a in (1, 2):
             with pytest.raises(ValueError, match="is feasible"):
                 gen_random_hconvex("tree", a, 3, 0, t=1, delta=3)
+
+    def test_infeasible_tree_refused_before_any_draw(self):
+        # t branching vertices need delta + 2t - 1 vertices: delta + t - 1 leaves besides themselves
+        for t in range(1, 5):
+            for delta in range(3, 7):
+                for n in range(1, 15):
+                    rng = random.Random(n)
+                    state = rng.getstate()
+                    if delta + 2 * t - 1 > n:
+                        with pytest.raises(ValueError, match="is feasible"):
+                            _random_degree_constrained_tree(rng, n, t, delta)
+                        assert rng.getstate() == state
+                        continue
+                    edges = _random_degree_constrained_tree(rng, n, t, delta)
+                    w = SupportWitness("tree", tuple(range(n)), frozenset(edges))
+                    assert len(w.branching) == t and w.max_degree == delta
 
 
 class TestGenSpec:

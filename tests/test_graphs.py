@@ -7,11 +7,7 @@ from gcwidth import (
     BipartiteGraph,
     Graph,
     GraphFormatError,
-    has_induced_pattern,
-    is_chordal_bipartite,
     parse_graph,
-    pattern_k3_k3,
-    pattern_k3_s3,
     serialize_graph,
 )
 from gcwidth.graphs import (
@@ -23,7 +19,15 @@ from gcwidth.graphs import (
 )
 from gcwidth.families import gen_random_hconvex
 
-from oracles import brute_has_induced_pattern, brute_is_chordal_bipartite, induced_subgraph
+from oracles import (
+    brute_has_induced_pattern,
+    brute_is_chordal_bipartite,
+    has_induced_pattern,
+    induced_subgraph,
+    is_chordal_bipartite,
+    pattern_k3_k3,
+    pattern_k3_s3,
+)
 
 
 def bip_c6():

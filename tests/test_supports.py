@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -14,14 +15,17 @@ from gcwidth import (
     witness_from_json,
     witness_to_json,
 )
-from gcwidth.families import augment_star, gen_crown, gen_random_hconvex
+from gcwidth.families import augment_star, gen_crown, gen_grid, gen_random_hconvex
+from gcwidth.supports import _support_pairs
 
 from oracles import (
+    all_labelled_trees,
     has_capped_tree_support,
     has_circular_order,
     has_path_order,
     has_tree_support,
     restrict_support,
+    tree_connects_hyperedges,
     walk_path,
 )
 
@@ -118,7 +122,43 @@ class TestTreeSupportDegreeBounded:
                 assert all(deg[v] <= caps[v] for v in range(n))
 
 
+class TestSupportPairs:
+    def test_pairs_are_the_union_of_all_supports(self):
+        rng = random.Random(12)
+        several = unweighted = 0
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            hyperedges = tuple(
+                frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(0, 4))
+            )
+            supports = [edges for edges in all_labelled_trees(n) if tree_connects_hyperedges(n, edges, hyperedges)]
+            support = _support_pairs(n, hyperedges)
+            if not supports:
+                assert support is None
+                continue
+            pairs, part = support
+            assert all(any({u, v} <= he for he in hyperedges) for u, v in pairs)
+            got = pairs | {(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]}
+            assert got == set().union(*supports)
+            several += len(supports) > 1
+            unweighted += len(set(part)) > 1
+        # ties inside a weight class and pairs in no hyperedge both occur
+        assert several and unweighted
+
+    def test_grids_have_no_tree_support(self):
+        for r in (5, 6, 7):
+            g = gen_grid(r, r)
+            assert _support_pairs(g.a_size, g.adj) is None
+            assert recognize_tdelta(g, 2, 4) is None
+
+
 class TestRecognizeConvex:
+    def test_chain_deeper_than_recursion_limit(self):
+        n = 1500
+        g = BipartiteGraph(n, n - 1, tuple(frozenset({i, i + 1}) for i in range(n - 1)))
+        w = recognize_convex(g)
+        assert w is not None and verify_support(g, w)
+
     def test_no_constraints_identity(self):
         g = BipartiteGraph(4, 0, ())
         w = recognize_convex(g)
@@ -165,7 +205,7 @@ class TestRecognizeCircular:
     def test_chordal_bipartite_negative(self):
         # 4 pairs through one common vertex: a tree (chordal bipartite),
         # but no circular order exists at |A| = 5
-        from gcwidth import is_chordal_bipartite
+        from oracles import is_chordal_bipartite
 
         g = BipartiteGraph(5, 4, tuple(frozenset({0, i}) for i in range(1, 5)))
         assert is_chordal_bipartite(g)
