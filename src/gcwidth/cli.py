@@ -1,15 +1,18 @@
 """Batch command-line surface.
 
 Exit codes: 0 = yes / success, 1 = recognized no (no witness, bound failed),
-2 = input, format, or guard error.  Every command appends a JSON RunReport
-line to ``runs.jsonl`` in the output directory, embedding a digest of the
-input so acceptance runs are auditable.
+2 = input, format, or guard error.  Every command runs through one skeleton,
+``_run``: it reads the input file once, runs the command body, writes each
+artifact as ``<input stem><suffix>`` in the output directory and appends a
+JSON run report, carrying the input's SHA-256 digest, to ``runs.jsonl``
+there.  A run that ends in exit 2, or in exit 1 because no witness exists,
+writes no report.  ``decompose`` and ``thin`` recognize the support when no
+``--witness`` is given.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -18,7 +21,6 @@ from pathlib import Path
 
 from . import families, thinness
 from .decomp import (
-    SizeGuardError,
     construction_bound,
     decompose_circular,
     decompose_convex,
@@ -36,7 +38,6 @@ from .decomp import (
 )
 from .graphs import (
     BipartiteGraph,
-    GraphFormatError,
     ascii_int,
     parse_graph,
     parse_vertex_token,
@@ -54,46 +55,8 @@ from .supports import (
 )
 
 
-@dataclasses.dataclass
-class RunReport:
-    command: list[str]
-    input_digest: str | None
-    outputs: dict
-    measured: dict
-    bounds: dict
-    passed: bool
-    wall_time_s: float
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "input_digest": self.input_digest,
-            "outputs": self.outputs,
-            "measured": self.measured,
-            "bounds": self.bounds,
-            "pass": self.passed,
-            "wall_time_s": round(self.wall_time_s, 6),
-        }
-
-
 class _NoWitness(Exception):
     """No support witness was found: exit 1 without a run report."""
-
-
-def _since(start: float = 0.0) -> float:
-    """Seconds on the performance counter since `start` (its reading when omitted)."""
-    return time.perf_counter() - start
-
-
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _load_graph(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    return parse_graph(p.read_text()), _digest(p)
 
 
 def _load_json(path: str) -> dict:
@@ -103,29 +66,16 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _emit(report: RunReport, args) -> None:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "runs.jsonl").open("a") as fh:
-        fh.write(json.dumps(report.to_json(), sort_keys=True) + "\n")
-    if args.format == "json":
-        print(json.dumps(report.to_json(), sort_keys=True, indent=2))
+def _emit(report: dict, out: Path, fmt: str) -> None:
+    with (out / "runs.jsonl").open("a") as fh:
+        fh.write(json.dumps(report, sort_keys=True) + "\n")
+    if fmt == "json":
+        print(json.dumps(report, sort_keys=True, indent=2))
     else:
-        status = "ok" if report.passed else "FAIL"
-        bits = [f"[{status}]"]
-        for k, v in report.measured.items():
-            bits.append(f"{k}={v}")
-        for k, v in report.bounds.items():
-            bits.append(f"bound:{k}={v}")
+        bits = ["[ok]" if report["pass"] else "[FAIL]"]
+        bits += [f"{k}={v}" for k, v in report["measured"].items()]
+        bits += [f"bound:{k}={v}" for k, v in report["bounds"].items()]
         print(" ".join(bits))
-
-
-def _write_json(args, name: str, payload: dict) -> str:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return str(path)
 
 
 def _cut_json(report, g):
@@ -153,50 +103,39 @@ _DECOMPOSERS = {
 }
 
 
-def _recognize(args, g, cls: str):
-    if cls not in _RECOGNIZERS:
-        raise ValueError(f"unknown class {cls!r}")
-    return _RECOGNIZERS[cls](args, g)
-
-
 def _support(args, g, cls: str, missing: str):
     """The support in the --witness file, else the recognized one."""
     if args.witness:
         return witness_from_json(_load_json(args.witness))
-    w = _recognize(args, g, cls)
+    if cls not in _RECOGNIZERS:
+        raise ValueError(f"unknown class {cls!r}")
+    w = _RECOGNIZERS[cls](args, g)
     if w is None:
         raise _NoWitness(missing)
     return w
 
 
-# Command bodies: each takes the parsed args and the loaded input graph
-# (None for gen) and returns (outputs, measured, bounds, passed).
+# Command bodies: each takes the parsed args, the loaded input graph (None
+# for gen) and the artifact writer of _run, and returns (outputs, measured,
+# bounds, passed).
 
 
-def cmd_recognize(args, g):
-    w = _recognize(args, g, args.cls)
+def cmd_recognize(args, g, write):
+    w = _RECOGNIZERS[args.cls](args, g)
     outputs = {}
     if w is not None:
         if not verify_support(g, w):
             raise AssertionError("recognizer emitted an invalid witness")
-        outputs["witness"] = _write_json(
-            args, Path(args.file).stem + ".witness.json", witness_to_json(w)
-        )
+        outputs["witness"] = write(".witness.json", witness_to_json(w))
     return outputs, {"recognized": w is not None, "class": args.cls}, {}, w is not None
 
 
-def cmd_decompose(args, g):
+def cmd_decompose(args, g, write):
     w = _support(args, g, args.cls, f"not {args.cls} convex: no witness")
-    if not verify_support(g, w):
-        raise ValueError("witness does not certify the input graph")
     d = _DECOMPOSERS[args.cls](g, w)
     bound = construction_bound(args.cls, w)
     measured, worst = width_of(g, d, "mim")
-    outputs = {
-        "decomposition": _write_json(
-            args, Path(args.file).stem + ".decomposition.json", decomposition_to_json(d, g)
-        )
-    }
+    outputs = {"decomposition": write(".decomposition.json", decomposition_to_json(d, g))}
     return (
         outputs,
         {"width": measured, "worst_cut": _cut_json(worst, g)},
@@ -205,13 +144,13 @@ def cmd_decompose(args, g):
     )
 
 
-def cmd_width(args, g):
+def cmd_width(args, g, write):
     d = decomposition_from_json(_load_json(args.decomposition), g)
     measured, worst = width_of(g, d, args.mode)
     return {}, {"width": measured, "mode": args.mode, "worst_cut": _cut_json(worst, g)}, {}, True
 
 
-def cmd_oracle(args, g):
+def cmd_oracle(args, g, write):
     params = [p.strip() for p in args.param.split(",") if p.strip()]
     guard_small = args.guard if args.guard is not None else 8
     guard_thin = args.guard if args.guard is not None else 13
@@ -221,9 +160,7 @@ def cmd_oracle(args, g):
         if param == "mimw":
             value, witness = mimw_oracle(g, guard_small)
             measured["mimw"] = value
-            outputs["mimw_decomposition"] = _write_json(
-                args, Path(args.file).stem + ".mimw.json", decomposition_to_json(witness, g)
-            )
+            outputs["mimw_decomposition"] = write(".mimw.json", decomposition_to_json(witness, g))
         elif param == "simw":
             value, _ = simw_oracle(g, guard_small)
             measured["simw"] = value
@@ -245,22 +182,14 @@ def cmd_oracle(args, g):
     return outputs, measured, {}, passed
 
 
-def cmd_thin(args, g):
+def cmd_thin(args, g, write):
     w = _support(args, g, "tdelta", "no tree support within the given (t, delta)")
     rep = thinness.thin_from_tree_support(g, w)
     gg = g.to_graph()
-    if not thinness.verify_consistent(gg, rep):
-        raise AssertionError("construction emitted an inconsistent representation")
     bound = thin_bound(len(w.branching), w.max_degree)
     d = thinness.linear_bd_from_thin(gg, rep)
     lw, _ = width_of(gg, d, "mim")
-    outputs = {
-        "representation": _write_json(
-            args,
-            Path(args.file).stem + ".thin.json",
-            thinness.representation_to_json(rep, g),
-        )
-    }
+    outputs = {"representation": write(".thin.json", thinness.representation_to_json(rep, g))}
     k = rep.class_count()
     return (
         outputs,
@@ -270,43 +199,31 @@ def cmd_thin(args, g):
     )
 
 
-def cmd_convert(args, g):
+def cmd_convert(args, g, write):
     gg = g.to_graph()
     pd = thinness.parse_pathdecomp(Path(args.pathdecomp).read_text(), g)
-    ok, q = thinness.verify_pathdecomp(gg, pd)
-    if not ok:
-        raise ValueError("invalid path decomposition")
     rep = thinness.pathdecomp_to_pthin(gg, pd)
     if not thinness.verify_strongly_consistent(gg, rep):
         raise AssertionError("conversion emitted a non-strong representation")
+    q = pd.width()
     bound = pthin_bound(q)
-    outputs = {
-        "representation": _write_json(
-            args,
-            Path(args.file).stem + ".pthin.json",
-            thinness.representation_to_json(rep, g),
-        )
-    }
+    outputs = {"representation": write(".pthin.json", thinness.representation_to_json(rep, g))}
     k = rep.class_count()
     return outputs, {"classes": k, "pathwidth": q}, {"classes": bound}, k <= bound
 
 
-def cmd_gen(args, _):
+def cmd_gen(args, _, write):
     spec = families.parse_genspec(args.spec)
     if args.seed is not None and spec.seed == 0:
         spec = families.GenSpec(spec.family, spec.params, args.seed)
     name, g, w = families.run_genspec(spec, lambda path: parse_graph(Path(path).read_text()))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    graph_path = out_dir / f"{name}.graph"
-    graph_path.write_text(serialize_graph(g))
-    outputs = {"graph": str(graph_path)}
+    outputs = {"graph": write(".graph", serialize_graph(g), stem=name)}
     if w is not None:
-        outputs["witness"] = _write_json(args, f"{name}.witness.json", witness_to_json(w))
+        outputs["witness"] = write(".witness.json", witness_to_json(w), stem=name)
     return outputs, {"vertices": g.n, "family": spec.family}, {}, True
 
 
-def cmd_verify(args, g):
+def cmd_verify(args, g, write):
     gg = g.to_graph()
     measured = {}
     ok = True
@@ -341,30 +258,47 @@ def cmd_verify(args, g):
 
 
 def _run(args, command: list[str]) -> int:
-    """Load the input graph, run the command body, and append its report:
-    exit 0 when the report passes, 1 when it fails or no witness exists."""
-    start = _since()
-    g = digest = None
+    """The one command skeleton: read the input file once (its SHA-256
+    digest and its graph come from the same bytes), create --out, run the
+    command body with an artifact writer, and append the run report.
+    Exit 0 when the report passes, 1 when it fails or no witness exists."""
+    start = time.perf_counter()
+    g = digest = stem = None
     if hasattr(args, "file"):
-        g, digest = _load_graph(args.file)
+        path = Path(args.file)
+        if not path.exists():
+            raise FileNotFoundError(f"no such file: {args.file}")
+        data = path.read_bytes()
+        g, digest, stem = parse_graph(data), hashlib.sha256(data).hexdigest(), path.stem
     needs = getattr(args, "needs_bipartite", None)
     if needs and not isinstance(g, BipartiteGraph):
         raise ValueError(f"{needs} needs a bipartite input")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+
+    def write(suffix: str, payload: str | dict, stem: str | None = stem) -> str:
+        # the artifact <stem><suffix> in --out: text as given, a dict as indented JSON
+        target = out / f"{stem}{suffix}"
+        if not isinstance(payload, str):
+            payload = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        target.write_text(payload)
+        return str(target)
+
     try:
-        outputs, measured, bounds, passed = args.fn(args, g)
+        outputs, measured, bounds, passed = args.fn(args, g, write)
     except _NoWitness as exc:
         print(exc, file=sys.stderr)
         return 1
-    report = RunReport(
-        command=command,
-        input_digest=digest,
-        outputs=outputs,
-        measured=measured,
-        bounds=bounds,
-        passed=passed,
-        wall_time_s=_since(start),
-    )
-    _emit(report, args)
+    report = {
+        "command": command,
+        "input_digest": digest,
+        "outputs": outputs,
+        "measured": measured,
+        "bounds": bounds,
+        "pass": passed,
+        "wall_time_s": round(time.perf_counter() - start, 6),
+    }
+    _emit(report, out, args.format)
     return 0 if passed else 1
 
 
@@ -378,19 +312,18 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=".", help="output directory for artifacts and runs.jsonl")
     ap.add_argument("--format", choices=("json", "text"), default="text")
     sub = ap.add_subparsers(dest="command", required=True)
+    tdelta = argparse.ArgumentParser(add_help=False)
+    tdelta.add_argument("--t", type=ascii_int, default=1)
+    tdelta.add_argument("--delta", type=ascii_int, default=3)
 
-    p = sub.add_parser("recognize", help="recognize a support class and emit a witness")
+    p = sub.add_parser("recognize", parents=[tdelta], help="recognize a support class and emit a witness")
     p.add_argument("--class", dest="cls", required=True, choices=("convex", "circular", "star", "tdelta"))
-    p.add_argument("--t", type=ascii_int, default=1)
-    p.add_argument("--delta", type=ascii_int, default=3)
     p.add_argument("file")
     p.set_defaults(fn=cmd_recognize, needs_bipartite="recognition")
 
-    p = sub.add_parser("decompose", help="build a width-bounded branch decomposition")
+    p = sub.add_parser("decompose", parents=[tdelta], help="build a width-bounded branch decomposition")
     p.add_argument("--class", dest="cls", required=True, choices=("convex", "circular", "spider", "tdelta"))
     p.add_argument("--witness", help="support witness JSON (recognized when omitted)")
-    p.add_argument("--t", type=ascii_int, default=1)
-    p.add_argument("--delta", type=ascii_int, default=3)
     p.add_argument("file")
     p.set_defaults(fn=cmd_decompose, needs_bipartite="decomposition")
 
@@ -406,10 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser("thin", help="thinness representation from a tree support")
+    p = sub.add_parser("thin", parents=[tdelta], help="thinness representation from a tree support")
     p.add_argument("--witness")
-    p.add_argument("--t", type=ascii_int, default=1)
-    p.add_argument("--delta", type=ascii_int, default=3)
     p.add_argument("file")
     p.set_defaults(fn=cmd_thin, needs_bipartite="the thinness construction")
 
@@ -439,7 +370,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _run(args, sys.argv[1:] if argv is None else list(argv))
-    except (GraphFormatError, SizeGuardError, FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

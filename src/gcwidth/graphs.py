@@ -96,9 +96,6 @@ class BipartiteGraph:
     def n(self) -> int:
         return self.a_size + self.b_size
 
-    def b_vertex(self, j: int) -> int:
-        return self.a_size + j
-
     def edge_count(self) -> int:
         return sum(len(nb) for nb in self.adj)
 

@@ -357,19 +357,10 @@ def _capped_support(n: int, hyperedges, caps, support) -> frozenset[tuple[int, i
 
 
 def recognize_convex(g: BipartiteGraph) -> SupportWitness | None:
-    """Path support on A making every N(b) an interval, if one exists."""
-    a = g.a_size
-    if a == 0:
-        return SupportWitness("path", (), frozenset())
-    if all(len(nb) <= 1 for nb in g.adj):
-        # unconstrained: canonical identity path
-        return SupportWitness(
-            "path", tuple(range(a)), frozenset((i, i + 1) for i in range(a - 1))
-        )
-    edges = tree_support_degree_bounded(a, g.adj, [2] * a)
-    if edges is None:
-        return None
-    return SupportWitness("path", tuple(range(a)), edges)
+    """Path support on A making every N(b) an interval, if one exists: a
+    (0, 2)-tree support."""
+    w = recognize_tdelta(g, 0, 2)
+    return None if w is None else SupportWitness("path", w.vertices, w.host_edges)
 
 
 def recognize_circular(g: BipartiteGraph) -> SupportWitness | None:
@@ -429,8 +420,10 @@ def recognize_star(g: BipartiteGraph) -> SupportWitness | None:
 def recognize_tdelta(g: BipartiteGraph, t: int, delta: int) -> SupportWitness | None:
     """Tree support with at most t branching vertices and max degree <= delta.
 
-    Answers None at once when A has no tree support at any degree (the
-    polynomial maximum-weight spanning tree test of _support_pairs).
+    When every N(b) has at most one vertex, any tree is a support and the
+    identity path, a (0, 2)-tree, is returned.  Answers None at once when A
+    has no tree support at any degree (the polynomial maximum-weight
+    spanning tree test of _support_pairs).
     Otherwise iterates over all A-subsets of size 0..t, capping the chosen
     vertices at degree delta and everything else at 2, and runs the exact
     degree-bounded search on each cap assignment, over the pairs that lie
@@ -439,8 +432,8 @@ def recognize_tdelta(g: BipartiteGraph, t: int, delta: int) -> SupportWitness | 
     if t < 0 or delta < 2:
         raise ValueError("need t >= 0 and delta >= 2")
     a = g.a_size
-    if a == 0:
-        return SupportWitness("tree", (), frozenset())
+    if all(len(nb) <= 1 for nb in g.adj):
+        return SupportWitness("tree", tuple(range(a)), frozenset((i, i + 1) for i in range(a - 1)))
     support = _support_pairs(a, g.adj)
     if support is None:
         return None

@@ -96,16 +96,27 @@ class TestDecompose:
         assert report["bounds"]["width"] == 8  # one branching vertex, degree 4
         assert report["measured"]["width"] <= 8
 
-    def test_wrong_witness_exit2(self, tmp_path):
-        # N(b1) = {a1, a3} is disconnected on the path a1-a2-a3
+    def test_wrong_witness_exit2(self, tmp_path, capsys):
+        # N(b1) = {a1, a3} is disconnected on the path a1-a2-a3-a4, on the
+        # cycle a1-a2-a3-a4-a1 and on the star centred at a2
         from gcwidth import BipartiteGraph, SupportWitness, witness_to_json
 
-        g = BipartiteGraph(3, 1, (frozenset({0, 2}),))
-        bad = SupportWitness("path", (0, 1, 2), frozenset({(0, 1), (1, 2)}))
+        g = BipartiteGraph(4, 1, (frozenset({0, 2}),))
         f = write_graph(tmp_path, g)
-        wf = tmp_path / "w.json"
-        wf.write_text(json.dumps(witness_to_json(bad)))
-        assert run(tmp_path, "decompose", "--class", "convex", "--witness", str(wf), f) == 2
+        path = SupportWitness("path", (0, 1, 2, 3), frozenset({(0, 1), (1, 2), (2, 3)}))
+        cycle = SupportWitness("cycle", (0, 1, 2, 3), frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
+        star = SupportWitness("tree", (0, 1, 2, 3), frozenset({(0, 1), (1, 2), (1, 3)}))
+        for command, bad in (
+            (("decompose", "--class", "convex"), path),
+            (("decompose", "--class", "circular"), cycle),
+            (("decompose", "--class", "spider"), star),
+            (("decompose", "--class", "tdelta"), star),
+            (("thin",), star),
+        ):
+            wf = tmp_path / "w.json"
+            wf.write_text(json.dumps(witness_to_json(bad)))
+            err = assert_rejected(tmp_path, capsys, *command, "--witness", str(wf), f)
+            assert f"invalid {bad.kind} witness" in err
 
 
 class TestWidthCommand:

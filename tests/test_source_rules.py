@@ -62,6 +62,26 @@ def test_no_unread_public_functions():
     assert UNREAD_ALLOWED.keys() - unread == set(), "stale allow-list entries"
 
 
+def test_no_unread_methods():
+    # a method of a src class that nothing in src or tests reads is dead code; dunders run implicitly
+    tests = sorted(Path(__file__).resolve().parent.glob("*.py"))
+    modules = [ast.parse(path.read_text(), str(path)) for path in [*SOURCES, *tests]]
+    # top-level statements, with each class split into its body statements
+    units = [unit for module in modules for stmt in module.body
+             for unit in (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])]
+    reads = [(unit, _read_names(unit)) for unit in units]
+    unread = [
+        f"{cls.name}.{fn.name}"
+        for module in modules[: len(SOURCES)]
+        for cls in module.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")
+        and not any(fn.name in names for other, names in reads if other is not fn)
+    ]
+    assert SOURCES and not unread, f"methods read nowhere in src or tests: {unread}"
+
+
 # Self-recursive functions allowed in src, each with the bound on its depth.
 RECURSION_ALLOWED = {
     "_min_width_over_trees.insert": "at most the oracle guard",

@@ -250,6 +250,15 @@ class TestRecognizeTdelta:
         assert len(w.branching) <= 1 and w.max_degree <= 3
         assert recognize_tdelta(g, 0, 3) is None
 
+    def test_singleton_neighbourhoods_deeper_than_recursion_limit(self):
+        # every tree is a support, so a search would recurse once per tree edge
+        n = 1500
+        g = BipartiteGraph(n, n, tuple(frozenset({i}) for i in range(n)))
+        for t, delta in ((1, 3), (2, 4)):
+            w = recognize_tdelta(g, t, delta)
+            assert w is not None and verify_support(g, w)
+            assert len(w.branching) <= t and w.max_degree <= delta
+
     def test_monotone_in_parameters(self):
         rng = random.Random(9)
         for _ in range(15):
