@@ -92,6 +92,7 @@ _RECOGNIZERS = {
     "convex": lambda args, g: recognize_convex(g),
     "circular": lambda args, g: recognize_circular(g),
     "star": lambda args, g: recognize_star(g),
+    "spider": lambda args, g: recognize_tdelta(g, 1, args.delta),
     "tdelta": lambda args, g: recognize_tdelta(g, args.t, args.delta),
 }
 
@@ -107,8 +108,6 @@ def _support(args, g, cls: str, missing: str):
     """The support in the --witness file, else the recognized one."""
     if args.witness:
         return witness_from_json(_load_json(args.witness))
-    if cls not in _RECOGNIZERS:
-        raise ValueError(f"unknown class {cls!r}")
     w = _RECOGNIZERS[cls](args, g)
     if w is None:
         raise _NoWitness(missing)

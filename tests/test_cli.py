@@ -96,6 +96,20 @@ class TestDecompose:
         assert report["bounds"]["width"] == 8  # one branching vertex, degree 4
         assert report["measured"]["width"] <= 8
 
+    def test_spider_recognized_without_witness(self, tmp_path, capsys):
+        g, _ = gen_random_hconvex("tree", 10, 12, 8, t=1, delta=4)
+        f = write_graph(tmp_path, g)
+        assert run(tmp_path, "decompose", "--class", "spider", "--delta", "4", f) == 0
+        report = read_runs(tmp_path)[-1]
+        assert report["pass"] and report["bounds"]["width"] <= 8  # a (1, 4) tree support
+        assert (tmp_path / "out" / "input.decomposition.json").exists()
+        # a crown has no tree support: exit 1 and no report
+        crown = write_graph(tmp_path, gen_crown(5)[0], "crown.graph")
+        capsys.readouterr()
+        assert run(tmp_path, "decompose", "--class", "spider", crown) == 1
+        assert capsys.readouterr().err == "not spider convex: no witness\n"
+        assert len(read_runs(tmp_path)) == 1
+
     def test_wrong_witness_exit2(self, tmp_path, capsys):
         # N(b1) = {a1, a3} is disconnected on the path a1-a2-a3-a4, on the
         # cycle a1-a2-a3-a4-a1 and on the star centred at a2
