@@ -268,7 +268,9 @@ def _run(args, command: list[str]) -> int:
         if not path.exists():
             raise FileNotFoundError(f"no such file: {args.file}")
         data = path.read_bytes()
-        g, digest, stem = parse_graph(data), hashlib.sha256(data).hexdigest(), path.stem
+        g = parse_graph(data)
+        digest = hashlib.sha256(data).hexdigest()
+        stem = path.stem
     needs = getattr(args, "needs_bipartite", None)
     if needs and not isinstance(g, BipartiteGraph):
         raise ValueError(f"{needs} needs a bipartite input")
