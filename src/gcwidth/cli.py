@@ -151,22 +151,21 @@ def cmd_width(args, g, write):
 
 def cmd_oracle(args, g, write):
     params = [p.strip() for p in args.param.split(",") if p.strip()]
-    guard_small = args.guard if args.guard is not None else 8
-    guard_thin = args.guard if args.guard is not None else 13
+    guard = {} if args.guard is None else {"guard": args.guard}
     measured = {}
     outputs = {}
     for param in params:
         if param == "mimw":
-            value, witness = mimw_oracle(g, guard_small)
+            value, witness = mimw_oracle(g, **guard)
             measured["mimw"] = value
             outputs["mimw_decomposition"] = write(".mimw.json", decomposition_to_json(witness, g))
         elif param == "simw":
-            value, _ = simw_oracle(g, guard_small)
+            value, _ = simw_oracle(g, **guard)
             measured["simw"] = value
         elif param == "thin":
-            measured["thin"] = thinness.thin_oracle(g, guard_thin)
+            measured["thin"] = thinness.thin_oracle(g, **guard)
         elif param == "pthin":
-            measured["pthin"] = thinness.pthin_oracle(g, guard_thin)
+            measured["pthin"] = thinness.pthin_oracle(g, **guard)
         elif param == "mim-cut":
             if not args.side:
                 raise ValueError("mim-cut needs --side")
@@ -371,7 +370,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _run(args, sys.argv[1:] if argv is None else list(argv))
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -179,23 +179,6 @@ def verify_support(g: BipartiteGraph, w: SupportWitness) -> bool:
 # degree-bounded tree support (exact search)
 
 
-def tree_support_degree_bounded(n: int, hyperedges, caps) -> frozenset[tuple[int, int]] | None:
-    """Spanning tree on the ground set 0..n-1 with every hyperedge (a set of
-    ground vertices) inducing a subtree and deg(i) <= caps[i] for all i, or
-    None when none exists.
-
-    Exact.  _support_pairs decides in polynomial time whether any tree
-    support exists and finds the pairs that lie on one; only when one
-    exists does the capped branch and bound run, on those pairs.
-    """
-    caps = list(caps)
-    if len(caps) != n:
-        raise ValueError("cap count must match ground size")
-    if n == 0:
-        raise ValueError("empty ground set")
-    return _capped_support(n, hyperedges, caps, _support_pairs(n, hyperedges))
-
-
 def _support_pairs(n: int, hyperedges):
     """The pairs (u, v), u < v, that lie on some tree support of the
     hyperedges over 0..n-1, or None when there is no tree support.
@@ -221,43 +204,65 @@ def _support_pairs(n: int, hyperedges):
     for pair, c in weight.items():
         classes.setdefault(c, []).append(pair)
     rep = list(range(n))
-
-    def find(x):
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
     allowed = []
     total = 0
     for c in sorted(classes, reverse=True):
-        joins = [(u, v) for u, v in classes[c] if find(u) != find(v)]
+        joins = [(u, v) for u, v in classes[c] if _find(rep, u) != _find(rep, v)]
         allowed += joins
         for u, v in joins:
-            ru, rv = find(u), find(v)
+            ru, rv = _find(rep, u), _find(rep, v)
             if ru != rv:
                 rep[ru] = rv
                 total += c
     if total < sum(len(he) - 1 for he in targets):
         return None
-    return frozenset(allowed), [find(v) for v in range(n)]
+    return frozenset(allowed), [_find(rep, v) for v in range(n)]
 
 
-def _capped_support(n: int, hyperedges, caps, support) -> frozenset[tuple[int, int]] | None:
-    """tree_support_degree_bounded with the ground set and caps checked and
-    `support` = _support_pairs(n, hyperedges).
+def _find(rep, x):
+    """Union-find root of x in the parent map rep, halving the path."""
+    while rep[x] != x:
+        rep[x] = rep[rep[x]]
+        x = rep[x]
+    return x
 
-    n - 1 pairs of positive weight spanning one component form the only
-    support, so only its degrees are checked.  Otherwise an exact branch and
-    bound over partial forests runs.
-    At each node the first unsatisfied hyperedge (smallest first) is
-    selected and the component of its least member is connected to the rest
-    of the hyperedge by one new allowed edge; a branch dies when two members
-    of a hyperedge are already joined by a forest path that leaves the
-    hyperedge, since no supertree can then induce a connected subgraph on
-    it.  An edge that _support_pairs rejects is on no support, so skipping
-    it changes neither the answer nor the tree found.
+
+def _components(vertices, edges) -> dict[int, int]:
+    """Each vertex's component in the forest `edges` restricted to
+    `vertices`, named by its least member."""
+    rep = {v: v for v in vertices}
+    for u, v in edges:
+        if u in rep and v in rep:
+            ru, rv = _find(rep, u), _find(rep, v)
+            rep[max(ru, rv)] = min(ru, rv)
+    return {v: _find(rep, v) for v in vertices}
+
+
+def tree_support_degree_bounded(n: int, hyperedges, t: int, delta: int) -> frozenset[tuple[int, int]] | None:
+    """Spanning tree on the ground set 0..n-1 with every hyperedge (a set of
+    ground vertices) inducing a subtree, maximum degree <= delta and at most
+    t branching vertices (degree >= 3), or None when none exists.
+
+    Exact.  _support_pairs decides in polynomial time whether any tree
+    support exists and finds the pairs that lie on one.  n - 1 pairs of
+    positive weight spanning one component form the only support, so only
+    its degrees are checked.  Otherwise a branch and bound over partial
+    forests runs on those pairs, with branching budgets 0, 1, ..., t in
+    turn, so a tree with the fewest branching vertices is found: an edge
+    that takes a vertex to degree 3 spends one unit of the budget.
+
+    At each node the first hyperedge (smallest first, the whole ground set
+    last) that the forest leaves disconnected is selected, and the component
+    of its least member is joined to the rest of the hyperedge by one new
+    edge.  A branch dies when two members of a hyperedge are already joined
+    by a forest path that leaves the hyperedge, since no supertree can then
+    induce a connected subgraph on it.  A connected hyperedge stays
+    connected deeper in the search, so each node resumes the scan at its
+    parent's hyperedge.  The search keeps its nodes on an explicit stack.
     """
+    if n == 0:
+        raise ValueError("empty ground set")
+    support = _support_pairs(n, hyperedges)
     if support is None:
         return None
     pairs, part = support
@@ -266,7 +271,7 @@ def _capped_support(n: int, hyperedges, caps, support) -> frozenset[tuple[int, i
         for u, v in pairs:
             deg[u] += 1
             deg[v] += 1
-        return pairs if all(d <= c for d, c in zip(deg, caps)) else None
+        return pairs if max(deg) <= delta and sum(d >= 3 for d in deg) <= t else None
     targets = sorted(
         {he for he in hyperedges if len(he) >= 2},
         key=lambda s: (len(s), sorted(s)),
@@ -275,80 +280,68 @@ def _capped_support(n: int, hyperedges, caps, support) -> frozenset[tuple[int, i
 
     edges: list[tuple[int, int]] = []
     deg = [0] * n
-    comp = list(range(n))  # global component representative (min vertex)
+    spent = 0
 
-    def local_components(target):
-        # components of the forest restricted to the hyperedge
-        rep = {v: v for v in target}
-
-        def find(x):
-            while rep[x] != x:
-                rep[x] = rep[rep[x]]
-                x = rep[x]
-            return x
-
-        for u, v in edges:
-            if u in rep and v in rep:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    if rv < ru:
-                        ru, rv = rv, ru
-                    rep[rv] = ru
-        return {v: find(v) for v in target}
-
-    def pick_branch_target():
-        # returns (target, local reps) for the first unsatisfied hyperedge,
-        # None when all are satisfied, or "dead" when the branch cannot win
-        for target in targets:
-            local = local_components(target)
-            roots = set(local.values())
-            if len(roots) == 1:
+    def first_open(start):
+        # the first hyperedge from targets[start] onwards that the forest
+        # leaves disconnected, as (index, local components), with local None
+        # when the branch is dead; (len(targets), None) when there is none
+        for index in range(start, len(targets)):
+            local = _components(targets[index], edges)
+            if len(set(local.values())) == 1:
                 continue
-            groups: dict[int, set[int]] = {}
-            for v in target:
-                groups.setdefault(comp[v], set()).add(local[v])
-            if any(len(ls) > 1 for ls in groups.values()):
-                return None, None, True
-            return target, local, False
-        return None, None, False
+            whole = local if index == len(targets) - 1 else _components(range(n), edges)
+            seen: dict[int, int] = {}
+            if any(seen.setdefault(whole[v], local[v]) != local[v] for v in targets[index]):
+                return index, None
+            return index, local
+        return len(targets), None
 
-    def solve():
-        target, local, dead = pick_branch_target()
-        if dead:
-            return False
-        if target is None:
-            return True
+    def options(target, local):
+        # the edges joining the least member's component to the rest of target
         c0 = local[min(target)]
         inside = sorted(v for v in target if local[v] == c0)
         outside = sorted(v for v in target if local[v] != c0)
         for u in inside:
-            if deg[u] >= caps[u]:
+            if deg[u] >= delta or deg[u] == 2 and spent == budget:
                 continue
             for v in outside:
-                if deg[v] >= caps[v]:
+                if deg[v] >= delta or spent + (deg[u] == 2) + (deg[v] == 2) > budget:
                     continue
                 edge = (min(u, v), max(u, v))
-                if edge not in pairs and part[u] == part[v]:
-                    continue
-                edges.append(edge)
-                deg[u] += 1
-                deg[v] += 1
-                saved = comp[:]
-                ru, rv = comp[u], comp[v]
-                keep, drop = min(ru, rv), max(ru, rv)
-                for i in range(n):
-                    if comp[i] == drop:
-                        comp[i] = keep
-                if solve():
-                    return True
-                comp[:] = saved
-                deg[u] -= 1
-                deg[v] -= 1
-                edges.pop()
-        return False
+                if edge in pairs or part[u] != part[v]:
+                    yield edge
 
-    if solve():
-        return frozenset(edges)
+    def shift(edge, step):
+        nonlocal spent
+        for x in edge:
+            spent -= deg[x] >= 3
+            deg[x] += step
+            spent += deg[x] >= 3
+
+    # no vertex branches below degree 3, and at most n vertices branch
+    for budget in range(min(t, n if delta >= 3 else 0) + 1):
+        index, local = first_open(0)
+        if index == len(targets):
+            return frozenset()
+        stack = [(index, options(targets[index], local))]
+        while stack:
+            index, todo = stack[-1]
+            edge = next(todo, None)
+            if edge is None:
+                stack.pop()
+                if edges:
+                    shift(edges.pop(), -1)
+                continue
+            edges.append(edge)
+            shift(edge, 1)
+            index, local = first_open(index)
+            if index == len(targets):
+                return frozenset(edges)
+            if local is None:
+                shift(edges.pop(), -1)
+            else:
+                stack.append((index, options(targets[index], local)))
     return None
 
 
@@ -392,7 +385,7 @@ def recognize_circular(g: BipartiteGraph) -> SupportWitness | None:
     for nb in g.adj:
         s = (full - nb) if cut in nb else nb
         reduced.append(frozenset(relabel[v] for v in s))
-    edges = tree_support_degree_bounded(a - 1, reduced, [2] * (a - 1))
+    edges = tree_support_degree_bounded(a - 1, reduced, 0, 2)
     if edges is None:
         return None
     pw = SupportWitness("path", tuple(range(a - 1)), frozenset(edges))
@@ -421,31 +414,17 @@ def recognize_tdelta(g: BipartiteGraph, t: int, delta: int) -> SupportWitness | 
     """Tree support with at most t branching vertices and max degree <= delta.
 
     When every N(b) has at most one vertex, any tree is a support and the
-    identity path, a (0, 2)-tree, is returned.  Answers None at once when A
-    has no tree support at any degree (the polynomial maximum-weight
-    spanning tree test of _support_pairs).
-    Otherwise iterates over all A-subsets of size 0..t, capping the chosen
-    vertices at degree delta and everything else at 2, and runs the exact
-    degree-bounded search on each cap assignment, over the pairs that lie
-    on some support.  None iff no subset succeeds.
+    identity path, a (0, 2)-tree, is returned.  Otherwise this is one call
+    of tree_support_degree_bounded, so a support with the fewest branching
+    vertices is returned, or None when there is no (t, delta)-tree support.
     """
     if t < 0 or delta < 2:
         raise ValueError("need t >= 0 and delta >= 2")
     a = g.a_size
     if all(len(nb) <= 1 for nb in g.adj):
         return SupportWitness("tree", tuple(range(a)), frozenset((i, i + 1) for i in range(a - 1)))
-    support = _support_pairs(a, g.adj)
-    if support is None:
-        return None
-    for size in range(0, t + 1):
-        for chosen in combinations(range(a), size):
-            caps = [2] * a
-            for v in chosen:
-                caps[v] = delta
-            edges = _capped_support(a, g.adj, caps, support)
-            if edges is not None:
-                return SupportWitness("tree", tuple(range(a)), edges)
-    return None
+    edges = tree_support_degree_bounded(a, g.adj, t, delta)
+    return None if edges is None else SupportWitness("tree", tuple(range(a)), edges)
 
 
 # ---------------------------------------------------------------------------

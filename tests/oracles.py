@@ -171,19 +171,6 @@ def has_tree_support(n, hyperedges, t, delta):
     return False
 
 
-def has_capped_tree_support(n, hyperedges, caps):
-    for edges in all_labelled_trees(n):
-        deg = [0] * n
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
-        if any(d > c for d, c in zip(deg, caps)):
-            continue
-        if tree_connects_hyperedges(n, edges, hyperedges):
-            return True
-    return False
-
-
 # --- thinness ----------------------------------------------------------------
 
 

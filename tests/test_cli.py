@@ -46,6 +46,17 @@ class TestRecognize:
     def test_missing_file_exit2(self, tmp_path):
         assert run(tmp_path, "recognize", "--class", "convex", "nope.graph") == 2
 
+    def test_out_is_a_file_exit2(self, tmp_path, capsys):
+        g, _ = gen_crown(4)
+        f = write_graph(tmp_path, g)
+        (tmp_path / "out").write_text("")
+        assert run(tmp_path, "recognize", "--class", "circular", f) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_input_is_a_directory_exit2(self, tmp_path, capsys):
+        assert run(tmp_path, "recognize", "--class", "convex", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_malformed_file_exit2(self, tmp_path):
         f = tmp_path / "bad.graph"
         f.write_text("bipartite 2 1\ne a1 a2\n")

@@ -88,8 +88,6 @@ RECURSION_ALLOWED = {
     "_max_independent_set.solve": "at most the maximum matching size",
     "gen_gk": "k <= 5",
     "decompose_tdelta.split": "at most t",
-    "_capped_support.solve": "one level per tree edge, up to |A| - 1; entered only when more than one "
-                             "maximum-weight spanning tree is a support; to be replaced by polynomial path recognition",
 }
 
 

@@ -20,7 +20,6 @@ from gcwidth.supports import _support_pairs
 
 from oracles import (
     all_labelled_trees,
-    has_capped_tree_support,
     has_circular_order,
     has_path_order,
     has_tree_support,
@@ -87,19 +86,19 @@ class TestVerifySupport:
 
 class TestTreeSupportDegreeBounded:
     def test_single_pair(self):
-        edges = tree_support_degree_bounded(3, (frozenset({0, 1}),), [2, 2, 2])
+        edges = tree_support_degree_bounded(3, (frozenset({0, 1}),), 0, 2)
         assert edges is not None and (0, 1) in edges
         assert len(edges) == 2  # spanning path
 
     def test_three_pairs_cap2_infeasible(self):
         hyperedges = (frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 3}))
-        assert has_capped_tree_support(4, hyperedges, [2, 2, 2, 2]) is False
-        assert tree_support_degree_bounded(4, hyperedges, [2, 2, 2, 2]) is None
+        assert has_tree_support(4, hyperedges, 0, 2) is False
+        assert tree_support_degree_bounded(4, hyperedges, 0, 2) is None
 
     def test_three_pairs_cap3_star(self):
         hyperedges = (frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 3}))
-        assert has_capped_tree_support(4, hyperedges, [3, 2, 2, 2]) is True
-        edges = tree_support_degree_bounded(4, hyperedges, [3, 2, 2, 2])
+        assert has_tree_support(4, hyperedges, 1, 3) is True
+        edges = tree_support_degree_bounded(4, hyperedges, 1, 3)
         assert edges == frozenset({(0, 1), (0, 2), (0, 3)})
 
     def test_agrees_with_exhaustive(self):
@@ -110,16 +109,14 @@ class TestTreeSupportDegreeBounded:
             hyperedges = tuple(
                 frozenset(rng.sample(range(n), rng.randint(2, n))) for _ in range(m)
             )
-            caps = [rng.randint(1, 3) for _ in range(n)]
-            got = tree_support_degree_bounded(n, hyperedges, caps)
-            expected = has_capped_tree_support(n, hyperedges, caps)
+            t, delta = rng.randint(0, 2), rng.randint(2, 4)
+            got = tree_support_degree_bounded(n, hyperedges, t, delta)
+            expected = has_tree_support(n, hyperedges, t, delta)
             assert (got is not None) == expected
             if got is not None:
-                deg = {v: 0 for v in range(n)}
-                for u, v in got:
-                    deg[u] += 1
-                    deg[v] += 1
-                assert all(deg[v] <= caps[v] for v in range(n))
+                w = SupportWitness("tree", tuple(range(n)), got)
+                assert len(w.branching) <= t and w.max_degree <= delta
+                assert verify_support(BipartiteGraph(n, m, hyperedges), w)
 
 
 class TestSupportPairs:
@@ -158,6 +155,14 @@ class TestRecognizeConvex:
         g = BipartiteGraph(n, n - 1, tuple(frozenset({i, i + 1}) for i in range(n - 1)))
         w = recognize_convex(g)
         assert w is not None and verify_support(g, w)
+
+    def test_many_supports_deeper_than_recursion_limit(self):
+        # 750 disjoint pairs: many trees are supports, so the search runs one
+        # level per tree edge
+        n = 1500
+        g = BipartiteGraph(n, n // 2, tuple(frozenset({2 * i, 2 * i + 1}) for i in range(n // 2)))
+        for w in (recognize_convex(g), recognize_tdelta(g, 1, 3)):
+            assert w is not None and verify_support(g, w)
 
     def test_no_constraints_identity(self):
         g = BipartiteGraph(4, 0, ())
@@ -258,6 +263,23 @@ class TestRecognizeTdelta:
             w = recognize_tdelta(g, t, delta)
             assert w is not None and verify_support(g, w)
             assert len(w.branching) <= t and w.max_degree <= delta
+
+    def test_fewest_branching_vertices_first(self):
+        # the budget steps up from 0, so a tree with more branching vertices
+        # than needed is never returned
+        rng = random.Random(14)
+        fewer = 0
+        for _ in range(60):
+            a = rng.randint(3, 6)
+            g = random_bipartite(rng, a, rng.randint(1, 4))
+            t, delta = rng.randint(1, 3), rng.randint(3, 4)
+            w = recognize_tdelta(g, t, delta)
+            least = next((k for k in range(t + 1) if has_tree_support(a, g.adj, k, delta)), None)
+            assert (w is None) == (least is None)
+            if w is not None:
+                assert verify_support(g, w) and len(w.branching) == least
+                fewer += least < t
+        assert fewer
 
     def test_monotone_in_parameters(self):
         rng = random.Random(9)
