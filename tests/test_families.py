@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -28,6 +29,12 @@ def random_bipartite(rng, a, b):
         frozenset(v for v in range(a) if rng.random() < 0.4) for _ in range(b)
     )
     return BipartiteGraph(a, b, adj)
+
+
+def _canonical(g, w) -> bytes:
+    # sorted, so set iteration order does not enter the digest
+    edges = sorted(w.host_edges)
+    return repr((g.a_size, g.b_size, [sorted(nb) for nb in g.adj], w.kind, w.vertices, edges)).encode()
 
 
 class TestGk:
@@ -197,6 +204,20 @@ class TestRandomHconvex:
                     edges = _random_degree_constrained_tree(rng, n, t, delta)
                     w = SupportWitness("tree", tuple(range(n)), frozenset(edges))
                     assert len(w.branching) == t and w.max_degree == delta
+
+    def test_generator_stream_pinned(self):
+        # perfbench builds its instances with these generators: a change to
+        # their random draws or planted edges would change its inputs
+        digest = hashlib.sha256()
+        for a in range(1, 15):
+            for seed in range(4):
+                for kind, t, delta in (("path", 1, 3), ("cycle", 1, 3), ("tree", 0, 3), ("tree", 1, 3), ("tree", 2, 4)):
+                    if t and delta + 2 * t - 1 > a:
+                        continue
+                    digest.update(_canonical(*gen_random_hconvex(kind, a, a + 2, seed, t, delta)))
+        for n in range(2, 9):
+            digest.update(_canonical(*gen_crown(n)))
+        assert digest.hexdigest() == "85954e43a15303fccf33760771cf71388ee508e16d6b154818b9dc52a4b130e4"
 
 
 class TestGenSpec:
