@@ -222,6 +222,13 @@ def cmd_gen(args, _, write):
 
 
 def cmd_verify(args, g, write):
+    given = [f"--{name}" for name in ("witness", "decomposition", "representation", "pathdecomp") if getattr(args, name)]
+    if not given:
+        raise ValueError("nothing to verify: pass --witness/--decomposition/--representation/--pathdecomp")
+    if len(given) > 1:
+        raise ValueError(f"verify checks one artifact per run, got {' and '.join(given)}")
+    if args.strong and not args.representation:
+        raise ValueError(f"--strong applies to --representation, got {given[0]}")
     gg = g.to_graph()
     measured = {}
     ok = True
@@ -245,13 +252,11 @@ def cmd_verify(args, g, write):
         ok = (thinness.verify_strongly_consistent if strong else thinness.verify_consistent)(gg, rep)
         measured["consistent"] = ok
         measured["strong"] = strong
-    elif args.pathdecomp:
+    else:
         pd = thinness.parse_pathdecomp(Path(args.pathdecomp).read_text(), g)
         ok, width = thinness.verify_pathdecomp(gg, pd)
         measured["pathdecomp_valid"] = ok
         measured["width"] = width
-    else:
-        raise ValueError("nothing to verify: pass --witness/--decomposition/--representation/--pathdecomp")
     return {}, measured, {}, ok
 
 

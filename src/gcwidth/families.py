@@ -54,11 +54,7 @@ def gen_crown(n: int) -> tuple[BipartiteGraph, SupportWitness]:
         raise ValueError("crown needs n >= 2")
     adj = tuple(frozenset(x for x in range(n) if x != i) for i in range(n))
     g = BipartiteGraph(n, n, adj)
-    if n == 2:
-        edges = frozenset({(0, 1)})
-    else:
-        edges = frozenset((min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n))
-    w = SupportWitness("cycle", tuple(range(n)), edges)
+    w = SupportWitness.from_order("cycle", range(n))
     if not verify_support(g, w):
         raise AssertionError("planted witness is invalid")
     return g, w
@@ -149,10 +145,7 @@ def _random_degree_constrained_tree(rng, n, t, delta):
     if t == 0:
         order = list(range(n))
         rng.shuffle(order)
-        return {
-            (min(order[i], order[i + 1]), max(order[i], order[i + 1]))
-            for i in range(n - 1)
-        }
+        return SupportWitness.from_order("tree", order).host_edges
     if delta < 3:
         raise ValueError("branching vertices need delta >= 3")
     # t branching vertices of least degrees delta, 3, .., 3 force
@@ -212,27 +205,10 @@ def gen_random_hconvex(
     if a_size < 1:
         raise ValueError("need at least one A vertex")
     rng = random.Random(repr((seed, kind, a_size, b_size, t, delta)))
-    if kind == "path":
+    if kind in ("path", "cycle"):
         order = list(range(a_size))
         rng.shuffle(order)
-        edges = {
-            (min(order[i], order[i + 1]), max(order[i], order[i + 1]))
-            for i in range(a_size - 1)
-        }
-        witness = SupportWitness("path", tuple(range(a_size)), frozenset(edges))
-    elif kind == "cycle":
-        order = list(range(a_size))
-        rng.shuffle(order)
-        if a_size == 1:
-            edges = set()
-        elif a_size == 2:
-            edges = {(0, 1)}
-        else:
-            edges = {
-                (min(order[i], order[(i + 1) % a_size]), max(order[i], order[(i + 1) % a_size]))
-                for i in range(a_size)
-            }
-        witness = SupportWitness("cycle", tuple(range(a_size)), frozenset(edges))
+        witness = SupportWitness.from_order(kind, order)
     elif kind == "tree":
         if not 0 <= t <= a_size:
             raise ValueError(f"need 0 <= t <= a = {a_size}, got t = {t}")

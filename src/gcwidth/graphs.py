@@ -35,12 +35,7 @@ class Graph:
 
     @staticmethod
     def make(n: int, edges) -> "Graph":
-        canon = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            canon.add((min(u, v), max(u, v)))
-        return Graph(n, frozenset(canon))
+        return Graph(n, frozenset((min(u, v), max(u, v)) for u, v in edges))
 
     def to_graph(self) -> "Graph":
         return self

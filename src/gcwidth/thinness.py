@@ -12,9 +12,9 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_left
 
-from .decomp import BranchDecomposition, SizeGuardError, _bits, caterpillar_from_ordering, interleave
+from .decomp import BranchDecomposition, SizeGuardError, _bits, _check_tree_witness, caterpillar_from_ordering, interleave
 from .graphs import BipartiteGraph, Graph, _str_list, _str_lists, parse_vertex_token, preorder, vertex_token
-from .supports import SupportWitness, verify_support
+from .supports import SupportWitness
 
 
 @dataclasses.dataclass
@@ -95,10 +95,7 @@ def thin_from_tree_support(g: BipartiteGraph, w: SupportWitness) -> ThinRepresen
     postorder of the rooted tree and each b is inserted right after its
     greatest A-neighbour (isolated b's at the end).
     """
-    if w.kind == "cycle":
-        raise ValueError("need an acyclic witness")
-    if not verify_support(g, w):
-        raise ValueError("invalid tree witness")
+    _check_tree_witness(g, w)
     if g.a_size == 0:
         raise ValueError("need at least one A vertex")
     adj = {v: sorted(nbrs) for v, nbrs in w.host_adjacency().items()}

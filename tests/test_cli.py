@@ -331,6 +331,24 @@ class TestVerifyCommand:
         f.write_text("graph 3\ne 1 2\n")
         assert run(tmp_path, "verify", str(f)) == 2
 
+    def test_one_artifact_per_run(self, tmp_path, capsys):
+        from gcwidth import witness_to_json
+
+        g, w = gen_crown(4)
+        f = write_graph(tmp_path, g)
+        wf = tmp_path / "w.json"
+        wf.write_text(json.dumps(witness_to_json(w)))
+        assert run(tmp_path, "decompose", "--class", "circular", "--witness", str(wf), f) == 0
+        dec = json.loads((tmp_path / "out" / "input.decomposition.json").read_text())
+        dec["tree_edges"].remove(["s6", "t6"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dec))
+        assert run(tmp_path, "verify", "--decomposition", str(bad), f) == 1
+        err = assert_rejected(tmp_path, capsys, "verify", "--witness", str(wf), "--decomposition", str(bad), f)
+        assert "--witness and --decomposition" in err
+        err = assert_rejected(tmp_path, capsys, "verify", "--witness", str(wf), "--strong", f)
+        assert "--strong" in err
+
 
 class TestReports:
     def test_digest_stable(self, tmp_path):

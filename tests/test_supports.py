@@ -30,11 +30,7 @@ from oracles import (
 
 
 def path_witness(*order):
-    edges = frozenset(
-        (min(order[i], order[i + 1]), max(order[i], order[i + 1]))
-        for i in range(len(order) - 1)
-    )
-    return SupportWitness("path", tuple(sorted(order)), edges)
+    return SupportWitness.from_order("path", order)
 
 
 def random_bipartite(rng, a, b):
@@ -82,6 +78,33 @@ class TestVerifySupport:
             "comb", tuple(range(6)), frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)})
         )
         assert not verify_support(g, not_comb)
+
+
+class TestFromOrder:
+    def test_host_visits_the_order_in_turn(self):
+        rng = random.Random(15)
+        for n in range(7):
+            for kind in ("path", "cycle"):
+                for _ in range(5):
+                    order = list(range(n))
+                    rng.shuffle(order)
+                    w = SupportWitness.from_order(kind, order)
+                    assert w.kind == kind and w.vertices == tuple(range(n))
+                    if n <= 1:
+                        assert w.host_edges == frozenset()
+                    elif kind == "cycle" and n == 2:
+                        assert w.host_edges == frozenset({(0, 1)})
+                    else:
+                        assert len(w.host_edges) == (n if kind == "cycle" else n - 1)
+                    assert verify_support(BipartiteGraph(n, 0, ()), w)
+                    walk = w.cycle_order() if kind == "cycle" else w.path_order()
+                    turns = [order[i:] + order[:i] for i in range(n)] if kind == "cycle" else [order]
+                    assert list(walk) in turns + [t[::-1] for t in turns] or n <= 2
+
+    def test_closed_pair_is_a_support(self):
+        g = BipartiteGraph(2, 1, (frozenset({0, 1}),))
+        w = SupportWitness.from_order("cycle", (1, 0))
+        assert verify_support(g, w) and w.cycle_order() == (0, 1)
 
 
 class TestTreeSupportDegreeBounded:
