@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -219,6 +220,29 @@ class TestWidthOf:
                     side = [v for v in range(gg.n) if (xmask >> v) & 1]
                     assert cross == scanned_cut_edges(gg.n, gg.edges, side)
         assert root_is_leaf == {True, False}
+
+    def test_width_stream_pinned(self):
+        # width, worst cut and witness side of the constructions and of
+        # random-order caterpillars (widths above 2), both modes, 1,152 calls
+        digest = hashlib.sha256()
+        for a in range(3, 41):
+            for seed in range(4):
+                rng = random.Random(repr(("width", a, seed)))
+                t, delta = ((0, 3), (1, 3), (2, 4), (4, 4))[(a + seed) % 4]
+                if delta + 2 * t - 1 > a:
+                    t, delta = 0, 3
+                cases = []
+                for kind, build in (("path", decompose_convex), ("cycle", decompose_circular), ("tree", decompose_tdelta)):
+                    g, w = gen_random_hconvex(kind, a, a + seed, seed, t, delta)
+                    cases.append((g, build(g, w)))
+                    if a <= 12:
+                        order = list(range(g.n))
+                        rng.shuffle(order)
+                        cases.append((g, caterpillar_from_ordering(order)))
+                for g, d in cases:
+                    for mode in ("mim", "sim"):
+                        digest.update(repr(width_of(g, d, mode)).encode())
+        assert digest.hexdigest() == "513a8443151b74bb521372ec7fd389842ce333302da46cee8ce9f26c05c75c4a"
 
     def test_spine_deeper_than_recursion_limit(self):
         n = 1200
