@@ -100,15 +100,18 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _max_independent_set(conflict: list[int], universe: int) -> int:
-    """Exact MIS on the conflict graph, returned as a bitmask of vertices.
+def _max_independent_set(conflict: list[int], universe: int, floor: int = 0) -> int:
+    """MIS of the conflict graph on universe, as a bitmask: exact when its
+    size is above floor, otherwise 0 (floor 0 always gives the exact set).
 
-    Splits into connected components first; each component is solved by
-    include/exclude branching on a maximum-conflict pivot with the trivial
-    remaining-count bound, which is effective because conflict graphs of
-    small cuts are dense.
+    Each connected component is solved in turn by include/exclude branching
+    on a maximum-conflict pivot with the trivial remaining-count bound,
+    which is effective because conflict graphs of small cuts are dense.  A
+    component must beat floor minus the sets chosen so far and the vertex
+    counts of the components still to come, or the total cannot pass floor;
+    the search starts its incumbent there.
     """
-    chosen = 0
+    comps = []
     remaining = universe
     while remaining:
         start = remaining & -remaining
@@ -121,8 +124,16 @@ def _max_independent_set(conflict: list[int], universe: int) -> int:
             comp |= nxt
             frontier = nxt
         remaining &= ~comp
+        comps.append(comp)
 
-        best_size = 0
+    chosen = 0
+    later = universe.bit_count()
+    for comp in comps:
+        later -= comp.bit_count()
+        need = floor - chosen.bit_count() - later
+        if need >= comp.bit_count():
+            return 0
+        best_size = max(need, 0)
         best_mask = 0
 
         def solve(cand, cur_mask, cur_size):
@@ -153,6 +164,8 @@ def _max_independent_set(conflict: list[int], universe: int) -> int:
                 best_mask = cur_mask
 
         solve(comp, 0, 0)
+        if not best_mask:
+            return 0
         chosen |= best_mask
     return chosen
 
@@ -165,18 +178,23 @@ def _mim_pair(adj_masks, xmask: int, ymask: int, mode: str):
     return _mim_of_cut(adj_masks, cross, xmask, ymask, mode)
 
 
-def _mim_of_cut(adj_masks, cross, xmask: int, ymask: int, mode: str):
+def _mim_of_cut(adj_masks, cross, xmask: int, ymask: int, mode: str, floor: int = 0):
     """Maximum induced matching between the disjoint vertex sets X and Y
     whose X-Y edges are cross, sorted (min, max) pairs.
 
     mode "mim": the matching must be induced in the cut graph (only X-Y
     edges forbid pairs); mode "sim": induced in the whole graph.  Returns
-    (size, tuple of matching edges).
+    (size, tuple of matching edges), exact when the size is above floor and
+    (0, ()) otherwise; floor 0 always gives the exact answer.  A matching
+    uses distinct cross edges and distinct endpoints on each side, so a cut
+    with at most floor of either is answered before any conflict graph.
     """
-    cross = [(u, v) if (xmask >> u) & 1 else (v, u) for u, v in cross]
-    m = len(cross)
-    if m == 0:
+    if len(cross) <= floor:
         return 0, ()
+    cross = [(u, v) if (xmask >> u) & 1 else (v, u) for u, v in cross]
+    if floor and (len({u for u, _ in cross}) <= floor or len({v for _, v in cross}) <= floor):
+        return 0, ()
+    m = len(cross)
     inc: dict[int, int] = {}
     for i, (u, v) in enumerate(cross):
         inc[u] = inc.get(u, 0) | (1 << i)
@@ -194,7 +212,7 @@ def _mim_of_cut(adj_masks, cross, xmask: int, ymask: int, mode: str):
             for w in _bits((adj_masks[u] | adj_masks[v]) & both):
                 c |= inc.get(w, 0)
         conflict.append(c & ~(1 << i))
-    sol = _max_independent_set(conflict, (1 << m) - 1)
+    sol = _max_independent_set(conflict, (1 << m) - 1, floor)
     witness = tuple(sorted((min(cross[i]), max(cross[i])) for i in _bits(sol)))
     return len(witness), witness
 
@@ -231,8 +249,11 @@ def width_of(g: Graph | BipartiteGraph, d: BranchDecomposition, mode: str = "mim
     Returns (width, CutReport or None for edgeless trees).  Cost: one rooted
     pass over the tree; every graph edge is charged to the tree edges on the
     path between its ends' leaves, so listing all cut edges costs the total
-    size of the cuts; then per tree edge its side as a bitmask in O(1) and an
-    exact MIS.
+    size of the cuts; then per tree edge its side as a bitmask in O(1) and
+    one decision: does the cut beat the running maximum?  Only a cut that
+    does gets its exact value and witness (_mim_of_cut with floor = the
+    maximum so far); most cuts are answered from their edge and endpoint
+    counts, and the rest search from that floor.
     """
     if mode not in ("mim", "sim"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -269,7 +290,7 @@ def width_of(g: Graph | BipartiteGraph, d: BranchDecomposition, mode: str = "mim
         # the side of u: u's subtree when u is the child, else all but v's
         child = u if parent[u] == v else v
         xmask = below[u] if child == u else full & ~below[v]
-        value, _ = _mim_of_cut(adj_masks, cut[child], xmask, full & ~xmask, mode)
+        value, _ = _mim_of_cut(adj_masks, cut[child], xmask, full & ~xmask, mode, max(best, 0))
         if value > best:
             best = value
             best_report = CutReport((u, v), tuple(_bits(xmask)), value)

@@ -57,6 +57,19 @@ def brute_max_induced_matching(n, edges, side, mode):
     return best
 
 
+def brute_max_independent_set(conflict, universe):
+    """Size of a maximum independent set of the graph with bitmask
+    adjacency conflict on the vertex bitmask universe, by enumerating
+    vertex subsets from the largest size down."""
+    vertices = [v for v in range(universe.bit_length()) if (universe >> v) & 1]
+    for r in range(len(vertices), 0, -1):
+        for sub in combinations(vertices, r):
+            mask = sum(1 << v for v in sub)
+            if not any(conflict[v] & mask for v in sub):
+                return r
+    return 0
+
+
 def scanned_cut_edges(n, edges, side):
     """The edges across (side, rest) as sorted (min, max) pairs, listed by
     scanning the neighbours of the smaller side."""

@@ -37,6 +37,7 @@ from gcwidth.graphs import GraphFormatError, complete_bipartite, cycle_graph, pa
 from gcwidth.families import gen_crown, gen_random_hconvex
 
 from oracles import (
+    brute_max_independent_set,
     brute_max_induced_matching,
     brute_width,
     induced_subgraph,
@@ -143,6 +144,84 @@ class TestCutSolvers:
                             assert pair not in eset
 
 
+def assert_induced_matching(g, side, matching, mode):
+    # cross edges on distinct endpoints, no edge between two of them that the mode forbids
+    eset, side = set(g.edges), set(side)
+    ends = [x for e in matching for x in e]
+    assert len(set(ends)) == len(ends)
+    assert all(e in eset and (e[0] in side) != (e[1] in side) for e in matching)
+    for i, e in enumerate(matching):
+        for f in matching[i + 1 :]:
+            for x in e:
+                for y in f:
+                    if (min(x, y), max(x, y)) in eset:
+                        assert mode == "mim" and (x in side) == (y in side)
+
+
+class TestFloorContract:
+    # exact when the answer is above floor, at most floor otherwise; floor 0 is the exact answer
+
+    def test_max_independent_set(self):
+        rng = random.Random(67)
+        pruned = 0
+        for _ in range(300):
+            # 1-4 connected blocks on shuffled vertex ids: a random spanning tree plus random chords
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+            ids = list(range(sum(sizes)))
+            rng.shuffle(ids)
+            conflict = [0] * len(ids)
+            p = rng.choice((0.2, 0.5, 0.8))
+            start = 0
+            for size in sizes:
+                block = ids[start : start + size]
+                start += size
+                for i in range(1, size):
+                    v = block[i]
+                    for u in {block[rng.randrange(i)]} | {u for u in block[:i] if rng.random() < p}:
+                        conflict[u] |= 1 << v
+                        conflict[v] |= 1 << u
+            universe = (1 << len(ids)) - 1
+            want = brute_max_independent_set(conflict, universe)
+            exact = decomp._max_independent_set(conflict, universe)
+            assert exact.bit_count() == want
+            for floor in range(5):
+                got = decomp._max_independent_set(conflict, universe, floor)
+                assert got & ~universe == 0
+                assert not any(conflict[v] & got for v in range(len(ids)) if (got >> v) & 1)
+                if want > floor:
+                    assert got == exact
+                else:
+                    assert got.bit_count() <= floor
+                    pruned += len(sizes) > 1
+        assert pruned > 0
+
+    def test_mim_of_cut(self):
+        rng = random.Random(71)
+        checked = 0
+        while checked < 120:
+            n = rng.randint(2, 10)
+            g = random_graph(rng, n, rng.choice((0.3, 0.5)))
+            side = [v for v in range(n) if rng.random() < 0.5]
+            cross = scanned_cut_edges(n, g.edges, side)
+            if len(cross) > 14:
+                continue
+            checked += 1
+            xmask = sum(1 << v for v in side)
+            ymask = ((1 << n) - 1) & ~xmask
+            masks = g.adjacency_masks()
+            for mode in ("mim", "sim"):
+                want = brute_max_induced_matching(n, g.edges, side, mode)
+                exact = decomp._mim_of_cut(masks, cross, xmask, ymask, mode)
+                assert exact[0] == want == len(exact[1])
+                assert_induced_matching(g, side, exact[1], mode)
+                for floor in range(5):
+                    got = decomp._mim_of_cut(masks, cross, xmask, ymask, mode, floor)
+                    if want > floor:
+                        assert got == exact
+                    else:
+                        assert got[0] <= floor
+
+
 class TestWidthOf:
     def test_edgeless(self):
         g = Graph(4, frozenset())
@@ -193,9 +272,9 @@ class TestWidthOf:
         seen = []
         mim_of_cut = decomp._mim_of_cut
 
-        def recording(adj_masks, cross, xmask, ymask, mode):
+        def recording(adj_masks, cross, xmask, ymask, mode, floor=0):
             seen.append((list(cross), xmask))
-            return mim_of_cut(adj_masks, cross, xmask, ymask, mode)
+            return mim_of_cut(adj_masks, cross, xmask, ymask, mode, floor)
 
         monkeypatch.setattr(decomp, "_mim_of_cut", recording)
         rng = random.Random(59)
