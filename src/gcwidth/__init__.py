@@ -35,11 +35,8 @@ from .decomp import (
     decompose_tdelta,
     decomposition_from_json,
     decomposition_to_json,
-    glue_multijoin,
     max_induced_matching_cut,
-    max_induced_matching_sim,
     mimw_oracle,
-    multijoin_bound,
     simw_oracle,
     spider_bound,
     tdelta_bound,

@@ -232,11 +232,6 @@ def max_induced_matching_cut(g: Graph, side) -> tuple[int, tuple]:
     return _max_induced_matching(g, side, "mim")
 
 
-def max_induced_matching_sim(g: Graph, side) -> tuple[int, tuple]:
-    """As max_induced_matching_cut but the matching is induced in G itself."""
-    return _max_induced_matching(g, side, "sim")
-
-
 # ---------------------------------------------------------------------------
 # width of a decomposition
 
@@ -424,12 +419,6 @@ def pthin_bound(q: int) -> int:
     return (2**q) * (q + 1)
 
 
-def multijoin_bound(c: int, p: int, part_widths) -> int:
-    """Width guarantee when gluing p parts with pairwise cut values <= c."""
-    inner = max(part_widths, default=0)
-    return max(c * ((p * p) // 4), inner + c * (p - 1))
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -471,32 +460,11 @@ def decompose_circular(g: BipartiteGraph, w: SupportWitness) -> BranchDecomposit
     return caterpillar_from_ordering(interleave(g, w.cycle_order()))
 
 
-def glue_multijoin(g: Graph, parts, part_decomps) -> BranchDecomposition:
-    """Join decompositions of a vertex partition along a new spine.
-
-    Each part tree is attached to its own spine vertex (subdividing one
-    part-tree edge to create the hook).  Width obeys the multijoin bound
-    h = max{c*floor((p/2)^2), max_i width_i + c(p-1)} for c the maximum
-    pairwise cut value between parts; callers assert it per instance.
-    """
-    parts = [sorted(p) for p in parts]
-    if not parts:
-        raise ValueError("no parts")
-    flat = [v for part in parts for v in part]
-    if sorted(flat) != list(range(g.n)) or len(flat) != len(set(flat)):
-        raise ValueError("parts do not partition the vertex set")
-    if len(part_decomps) != len(parts):
-        raise ValueError("one decomposition required per part")
-    for part, d in zip(parts, part_decomps):
-        if sorted(d.leaf_map.values()) != part:
-            raise ValueError("part decomposition does not cover its part")
-    return _glue(part_decomps)
-
-
 def _glue(part_decomps) -> BranchDecomposition:
-    """glue_multijoin without its checks: spine nodes 0..p-1, then each part
-    tree renumbered in turn, its least edge subdivided by a hook on its
-    spine node (a one-node part hangs on the spine directly)."""
+    """Join decompositions of the parts of a vertex partition along a new
+    spine: spine nodes 0..p-1, then each part tree renumbered in turn, its
+    least edge subdivided by a hook on its spine node (a one-node part hangs
+    on the spine directly)."""
     p = len(part_decomps)
     if p == 1:
         return part_decomps[0]

@@ -259,21 +259,3 @@ def preorder(adj, root: int):
                 stack.append(y)
     return order, parent
 
-
-# ---------------------------------------------------------------------------
-# small graph builders
-
-
-def complete_bipartite(a: int, b: int) -> BipartiteGraph:
-    full = frozenset(range(a))
-    return BipartiteGraph(a, b, tuple(full for _ in range(b)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs >= 3 vertices")
-    return Graph.make(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.make(n, [(i, i + 1) for i in range(n - 1)])

@@ -2,15 +2,19 @@
 
 Everything here is deliberately naive (permutation / subset / Prufer
 enumeration) and shares no code with the package implementations; only the
-sub-instance builders at the end return the package's value types.  The
-chordal-bipartite test and the induced-pattern search have no caller in the
-package; they live here beside their brute-force cross-checks.
+sub-instance builders and the small-graph section at the end return the
+package's value types.  The chordal-bipartite test and the induced-pattern
+search have no caller in the package; they live here beside their
+brute-force cross-checks.  The last section holds the small graph builders
+and the library forms that only tests call (the sim cut, the checked
+multijoin gluing and its bound), over the package's private helpers.
 """
 
 import heapq
 from itertools import combinations, permutations, product
 
-from gcwidth import BipartiteGraph, Graph, SupportWitness
+from gcwidth import BipartiteGraph, BranchDecomposition, Graph, SupportWitness
+from gcwidth.decomp import _glue, _max_induced_matching
 
 
 # --- maximum induced matching -----------------------------------------------
@@ -691,3 +695,54 @@ def restrict_support(w, subset):
     degrees = [sum(v in e for e in edges) for v in sub]
     kind = "path" if max(degrees, default=0) <= 2 else "tree"
     return SupportWitness(kind, tuple(sorted(sub)), edges)
+
+
+# --- small graphs and test-only library forms ---------------------------------
+
+
+def complete_bipartite(a: int, b: int) -> BipartiteGraph:
+    full = frozenset(range(a))
+    return BipartiteGraph(a, b, tuple(full for _ in range(b)))
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("cycle needs >= 3 vertices")
+    return Graph.make(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.make(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def max_induced_matching_sim(g: Graph, side) -> tuple[int, tuple]:
+    """As max_induced_matching_cut but the matching is induced in G itself."""
+    return _max_induced_matching(g, side, "sim")
+
+
+def multijoin_bound(c: int, p: int, part_widths) -> int:
+    """Width guarantee when gluing p parts with pairwise cut values <= c."""
+    inner = max(part_widths, default=0)
+    return max(c * ((p * p) // 4), inner + c * (p - 1))
+
+
+def glue_multijoin(g: Graph, parts, part_decomps) -> BranchDecomposition:
+    """Join decompositions of a vertex partition along a new spine.
+
+    Each part tree is attached to its own spine vertex (subdividing one
+    part-tree edge to create the hook).  Width obeys the multijoin bound
+    h = max{c*floor((p/2)^2), max_i width_i + c(p-1)} for c the maximum
+    pairwise cut value between parts; callers assert it per instance.
+    """
+    parts = [sorted(p) for p in parts]
+    if not parts:
+        raise ValueError("no parts")
+    flat = [v for part in parts for v in part]
+    if sorted(flat) != list(range(g.n)) or len(flat) != len(set(flat)):
+        raise ValueError("parts do not partition the vertex set")
+    if len(part_decomps) != len(parts):
+        raise ValueError("one decomposition required per part")
+    for part, d in zip(parts, part_decomps):
+        if sorted(d.leaf_map.values()) != part:
+            raise ValueError("part decomposition does not cover its part")
+    return _glue(part_decomps)

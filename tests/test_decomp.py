@@ -18,11 +18,8 @@ from gcwidth import (
     decompose_tdelta,
     decomposition_from_json,
     decomposition_to_json,
-    glue_multijoin,
     max_induced_matching_cut,
-    max_induced_matching_sim,
     mimw_oracle,
-    multijoin_bound,
     representation_to_json,
     simw_oracle,
     spider_bound,
@@ -33,15 +30,21 @@ from gcwidth import (
 )
 from gcwidth import decomp
 from gcwidth.decomp import construction_bound, interleave, pthin_bound, thin_bound
-from gcwidth.graphs import GraphFormatError, complete_bipartite, cycle_graph, path_graph
+from gcwidth.graphs import GraphFormatError
 from gcwidth.families import gen_crown, gen_random_hconvex
 
 from oracles import (
     brute_max_independent_set,
     brute_max_induced_matching,
     brute_width,
+    complete_bipartite,
+    cycle_graph,
+    glue_multijoin,
     induced_subgraph,
     interleave_by_insertion,
+    max_induced_matching_sim,
+    multijoin_bound,
+    path_graph,
     restrict_support,
     scanned_cut_edges,
     spider_legs,

@@ -10,21 +10,18 @@ from gcwidth import (
     parse_graph,
     serialize_graph,
 )
-from gcwidth.graphs import (
-    complete_bipartite,
-    cycle_graph,
-    parse_vertex_token,
-    path_graph,
-    vertex_token,
-)
+from gcwidth.graphs import parse_vertex_token, vertex_token
 from gcwidth.families import gen_random_hconvex
 
 from oracles import (
     brute_has_induced_pattern,
     brute_is_chordal_bipartite,
+    complete_bipartite,
+    cycle_graph,
     has_induced_pattern,
     induced_subgraph,
     is_chordal_bipartite,
+    path_graph,
     pattern_k3_k3,
     pattern_k3_s3,
 )

@@ -37,12 +37,6 @@ def test_no_dead_private_helpers():
 
 # Public functions that no other statement in src reads, each with the reason it stays.
 UNREAD_ALLOWED = {
-    "max_induced_matching_sim": "library entry point for the sim cut, beside max_induced_matching_cut",
-    "multijoin_bound": "library form of the multijoin width bound, checked in tests",
-    "glue_multijoin": "checked entry point of the multijoin gluing",
-    "complete_bipartite": "small graph builder used by tests",
-    "cycle_graph": "small graph builder used by tests",
-    "path_graph": "small graph builder used by tests",
     "serialize_pathdecomp": "writes bag files; perfbench writes its inputs with it",
 }
 

@@ -24,12 +24,13 @@ from gcwidth import (
     width_of,
 )
 from gcwidth import thinness
-from gcwidth.graphs import complete_bipartite, cycle_graph, path_graph
 from gcwidth.families import gen_crown, gen_gk, gen_random_hconvex
 
 from oracles import (
     brute_thinness,
     consistent_by_triples,
+    cycle_graph,
+    path_graph,
     strongly_consistent_by_consecutiveness,
     strongly_consistent_by_triples,
 )
