@@ -169,7 +169,8 @@ class TestFloorContract:
         pruned = 0
         for _ in range(300):
             # 1-4 connected blocks on shuffled vertex ids: a random spanning tree plus random chords
-            sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+            blocks = rng.randint(1, 4)
+            sizes = [rng.randint(1, 14 // blocks) for _ in range(blocks)]
             ids = list(range(sum(sizes)))
             rng.shuffle(ids)
             conflict = [0] * len(ids)
