@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .graphs import BipartiteGraph, Graph, _ascii_decimal, _str_list, _str_lists, parse_vertex_token, preorder, vertex_token
+from .graphs import BipartiteGraph, Graph, _numbered, _str_list, _str_lists, parse_vertex_token, preorder, vertex_token
 from .supports import SupportWitness, verify_support
 
 
@@ -217,19 +217,14 @@ def _mim_of_cut(adj_masks, cross, xmask: int, ymask: int, mode: str, floor: int 
     return len(witness), witness
 
 
-def _max_induced_matching(g: Graph, side, mode: str) -> tuple[int, tuple]:
+def max_induced_matching_cut(g: Graph, side) -> tuple[int, tuple]:
+    """Exact maximum induced matching of the cut graph G[X, V-X]."""
     xmask = 0
     for v in side:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
         xmask |= 1 << v
-    ymask = ((1 << g.n) - 1) & ~xmask
-    return _mim_pair(g.adjacency_masks(), xmask, ymask, mode)
-
-
-def max_induced_matching_cut(g: Graph, side) -> tuple[int, tuple]:
-    """Exact maximum induced matching of the cut graph G[X, V-X]."""
-    return _max_induced_matching(g, side, "mim")
+    return _mim_pair(g.adjacency_masks(), xmask, ((1 << g.n) - 1) & ~xmask, "mim")
 
 
 # ---------------------------------------------------------------------------
@@ -628,21 +623,15 @@ def decompose_tdelta(
 def decomposition_to_json(d: BranchDecomposition, g) -> dict:
     leaves = sorted(d.leaf_map)
     internal = sorted(v for v in range(d.tree.n) if v not in d.leaf_map)
-    name = {}
-    for i, node in enumerate(leaves):
-        name[node] = f"t{i + 1}"
-    for i, node in enumerate(internal):
-        name[node] = f"s{i + 1}"
-
-    def tok_key(tok):
-        return (tok[0], int(tok[1:]))
-
-    pairs = [sorted((name[u], name[v]), key=tok_key) for u, v in d.tree.edges]
+    # nodes in name order, s1 < s2 < ... < t1 < t2 < ..., so ranks sort as names do
+    names = [f"s{i + 1}" for i in range(len(internal))] + [f"t{i + 1}" for i in range(len(leaves))]
+    rank = {node: r for r, node in enumerate(internal + leaves)}
+    pairs = sorted(sorted((rank[u], rank[v])) for u, v in d.tree.edges)
     return {
         "linear": d.linear,
-        "spine": [name[s] for s in d.spine],
-        "leaves": {name[leaf]: vertex_token(g, v) for leaf, v in sorted(d.leaf_map.items())},
-        "tree_edges": sorted(pairs, key=lambda p: (tok_key(p[0]), tok_key(p[1]))),
+        "spine": [names[rank[s]] for s in d.spine],
+        "leaves": {names[rank[leaf]]: vertex_token(g, v) for leaf, v in sorted(d.leaf_map.items())},
+        "tree_edges": [[names[x], names[y]] for x, y in pairs],
     }
 
 
@@ -653,16 +642,16 @@ def decomposition_from_json(data: dict, g) -> BranchDecomposition:
         raise ValueError("decomposition needs leaves {name: token}, tree_edges [[name, name]], spine [name], "
                          "linear a boolean")
     internal = {nm for e in tree_edges for nm in e if nm not in leaves}
-    if not all(nm[:1] == p and _ascii_decimal(nm[1:]) for p, nms in (("t", leaves), ("s", internal)) for nm in nms):
-        raise ValueError("decomposition needs leaf names t<digits> and internal names s<digits>")
+    # leaves first, each group in the order of its numbers
+    key = {nm: (0, _numbered(nm, "t")) for nm in leaves} | {nm: (1, _numbered(nm, "s")) for nm in internal}
+    if any(i is None for _, i in key.values()):
+        raise ValueError("decomposition needs leaf names t<i> and internal names s<i>, i without leading zeros")
     if not (set(spine) <= internal and len(set(spine)) == len(spine)):
         raise ValueError("decomposition needs a spine of distinct internal nodes")
     pairs = {frozenset(e) for e in tree_edges}
     if not all(frozenset(e) in pairs for e in zip(spine, spine[1:])) or (linear and set(spine) != internal):
         raise ValueError("decomposition needs a spine along tree edges, through every internal node when linear")
-    ids = {nm: i for i, nm in enumerate(sorted(leaves, key=lambda s: int(s[1:])))}
-    for nm in sorted(internal, key=lambda s: int(s[1:])):
-        ids[nm] = len(ids)
+    ids = {nm: i for i, nm in enumerate(sorted(key, key=key.get))}
     edges = [(ids[a], ids[b]) for a, b in tree_edges]
     tree = Graph.make(max(len(ids), 1), edges)
     leaf_map = {ids[nm]: parse_vertex_token(g, tok) for nm, tok in leaves.items()}

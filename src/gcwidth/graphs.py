@@ -127,28 +127,43 @@ def ascii_int(text: str) -> int:
     return int(text)
 
 
-def _bip_token(tok: str, a_size: int, b_size: int) -> int:
-    side = tok[:1]
-    if side not in ("a", "b") or not _ascii_decimal(tok[1:]):
-        raise GraphFormatError("token", f"bad bipartite vertex token {tok!r}")
-    idx = int(tok[1:]) - 1
-    limit = a_size if side == "a" else b_size
-    if not (0 <= idx < limit):
+def _numbered(tok, prefix: str) -> int | None:
+    """i when tok is prefix + str(i), the only form the writers print: ASCII
+    digits with no leading zero.  None for anything else."""
+    if isinstance(tok, str) and tok.startswith(prefix):
+        digits = tok[len(prefix):]
+        if digits.isascii() and digits.isdecimal() and (digits[0] != "0" or digits == "0"):
+            return int(digits)
+    return None
+
+
+def _vertex(tok, sides: dict) -> int:
+    """The vertex tok names; sides maps each token prefix to the first vertex
+    and the size of its side.  GraphFormatError "token" for a token of no
+    side's form, "range" for a number naming no vertex (0 or past the end)."""
+    prefix = "" if "" in sides or not isinstance(tok, str) else tok[:1]
+    side = sides.get(prefix)
+    i = None if side is None else _numbered(tok, prefix)
+    if i is None:
+        raise GraphFormatError("token", f"bad vertex token {tok!r}")
+    first, size = side
+    if not 0 < i <= size:
         raise GraphFormatError("range", f"vertex {tok} out of range")
-    return idx if side == "a" else a_size + idx
+    return first + i - 1
 
 
 def parse_vertex_token(g, tok) -> int:
     """Inverse of vertex_token.  Raises GraphFormatError for a token of the
-    wrong kind (foreign side letter, non-digit, non-string) or one naming no
-    vertex of g (0 or past the end)."""
-    if isinstance(g, BipartiteGraph) and isinstance(tok, str):
-        return _bip_token(tok, g.a_size, g.b_size)
-    if not _ascii_decimal(tok):
-        raise GraphFormatError("token", f"bad vertex token {tok!r}")
-    if not 0 < int(tok) <= g.n:
-        raise GraphFormatError("range", f"vertex {tok} out of range")
-    return int(tok) - 1
+    wrong kind (foreign side letter, non-digit, leading zero, non-string) or
+    one naming no vertex of g (0 or past the end)."""
+    if isinstance(g, BipartiteGraph):
+        return _vertex(tok, {"a": (0, g.a_size), "b": (g.a_size, g.b_size)})
+    return _vertex(tok, {"": (0, g.n)})
+
+
+def _lines(text: str) -> list[str]:
+    """The stripped lines of text, without blank and ``#`` comment lines."""
+    return [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")]
 
 
 def _str_list(x) -> bool:
@@ -168,58 +183,43 @@ def parse_graph(text: str | bytes):
     Format: header line ``bipartite <|A|> <|B|>`` or ``graph <n>``, then one
     ``e <u> <v>`` line per edge.  ``#`` starts a comment line.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append(line)
+    lines = _lines(text.decode("utf-8") if isinstance(text, bytes) else text)
     if not lines:
         raise GraphFormatError("header", "empty file")
     head = lines[0].split()
-    if head[0] == "bipartite":
-        if len(head) != 3 or not _ascii_decimal(head[1]) or not _ascii_decimal(head[2]):
-            raise GraphFormatError("header", f"malformed header {lines[0]!r}")
+    if head[0] == "bipartite" and len(head) == 3 and _ascii_decimal(head[1]) and _ascii_decimal(head[2]):
         a_size, b_size = int(head[1]), int(head[2])
-        nbrs = [set() for _ in range(b_size)]
-        seen = set()
-        for line in lines[1:]:
-            parts = line.split()
-            if len(parts) != 3 or parts[0] != "e":
-                raise GraphFormatError("edge-format", f"bad edge line {line!r}")
-            u = _bip_token(parts[1], a_size, b_size)
-            v = _bip_token(parts[2], a_size, b_size)
-            au, bv = (u, v) if u < a_size else (v, u)
-            if au >= a_size or bv < a_size:
-                raise GraphFormatError("non-crossing", f"edge {line!r} is not A-B")
-            if (au, bv) in seen:
-                raise GraphFormatError("duplicate", f"duplicate edge {line!r}")
-            seen.add((au, bv))
-            nbrs[bv - a_size].add(au)
-        return BipartiteGraph(a_size, b_size, tuple(frozenset(s) for s in nbrs))
-    if head[0] == "graph":
-        if len(head) != 2 or not _ascii_decimal(head[1]):
-            raise GraphFormatError("header", f"malformed header {lines[0]!r}")
+        sides, nbrs = {"a": (0, a_size), "b": (a_size, b_size)}, [set() for _ in range(b_size)]
+    elif head[0] == "graph" and len(head) == 2 and _ascii_decimal(head[1]):
         n = int(head[1])
-        edges = set()
-        for line in lines[1:]:
-            parts = line.split()
-            if len(parts) != 3 or parts[0] != "e":
-                raise GraphFormatError("edge-format", f"bad edge line {line!r}")
-            if not (_ascii_decimal(parts[1]) and _ascii_decimal(parts[2])):
-                raise GraphFormatError("token", f"bad vertex token in {line!r}")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError("range", f"vertex out of range in {line!r}")
-            if u == v:
-                raise GraphFormatError("edge-format", f"loop in {line!r}")
-            e = (min(u, v), max(u, v))
-            if e in edges:
-                raise GraphFormatError("duplicate", f"duplicate edge {line!r}")
-            edges.add(e)
+        sides, nbrs = {"": (0, n)}, None
+    else:
+        what = "malformed" if head[0] in ("bipartite", "graph") else "unknown"
+        raise GraphFormatError("header", f"{what} header {lines[0]!r}")
+    edges = set()
+    index = {}  # token -> vertex: each token is read once, though a vertex ends several edges
+    for line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 3 or parts[0] != "e":
+            raise GraphFormatError("edge-format", f"bad edge line {line!r}")
+        _, x, y = parts
+        u = index[x] if x in index else index.setdefault(x, _vertex(x, sides))
+        v = index[y] if y in index else index.setdefault(y, _vertex(y, sides))
+        if u > v:
+            u, v = v, u
+        if nbrs is not None:
+            if not u < a_size <= v:
+                raise GraphFormatError("non-crossing", f"edge {line!r} is not A-B")
+            nbrs[v - a_size].add(u)
+        elif u == v:
+            raise GraphFormatError("edge-format", f"loop in {line!r}")
+        e = (u, v)
+        if e in edges:
+            raise GraphFormatError("duplicate", f"duplicate edge {line!r}")
+        edges.add(e)
+    if nbrs is None:
         return Graph(n, frozenset(edges))
-    raise GraphFormatError("header", f"unknown header {lines[0]!r}")
+    return BipartiteGraph(a_size, b_size, tuple(map(frozenset, nbrs)))
 
 
 def serialize_graph(g) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 from itertools import combinations
 
-from .graphs import BipartiteGraph, _ascii_decimal, _str_list, _str_lists, preorder
+from .graphs import BipartiteGraph, _numbered, _str_list, _str_lists, preorder
 
 KINDS = ("path", "cycle", "tree", "star", "comb")
 
@@ -439,13 +439,12 @@ def witness_to_json(w: SupportWitness) -> dict:
 
 
 def witness_from_json(data: dict) -> SupportWitness:
-    def parse(tok):
-        if not tok.startswith("a") or not _ascii_decimal(tok[1:]):
-            raise ValueError(f"bad A-vertex token {tok!r}")
-        return int(tok[1:]) - 1
-
     kind, vertices, host_edges = data["kind"], data["vertices"], data["host_edges"]
     if not (isinstance(kind, str) and _str_list(vertices) and _str_lists(host_edges, 2)):
         raise ValueError("witness needs kind \"name\", vertices [token], host_edges [[token, token]]")
-    edges = frozenset((min(parse(u), parse(v)), max(parse(u), parse(v))) for u, v in host_edges)
-    return SupportWitness(kind, tuple(sorted(map(parse, vertices))), edges)
+    index = {tok: _numbered(tok, "a") for toks in (*host_edges, vertices) for tok in toks}
+    for tok, i in index.items():
+        if i is None:
+            raise ValueError(f"bad A-vertex token {tok!r}")
+    edges = frozenset((min(index[u], index[v]) - 1, max(index[u], index[v]) - 1) for u, v in host_edges)
+    return SupportWitness(kind, tuple(sorted(index[tok] - 1 for tok in vertices)), edges)

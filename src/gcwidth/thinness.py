@@ -13,7 +13,7 @@ import dataclasses
 from bisect import bisect_left
 
 from .decomp import BranchDecomposition, SizeGuardError, _bits, _check_tree_witness, caterpillar_from_ordering, interleave
-from .graphs import BipartiteGraph, Graph, _str_list, _str_lists, parse_vertex_token, preorder, vertex_token
+from .graphs import BipartiteGraph, Graph, _lines, _str_list, _str_lists, parse_vertex_token, preorder, vertex_token
 from .supports import SupportWitness
 
 
@@ -310,10 +310,7 @@ def pathdecomp_to_pthin(g: Graph, p: PathDecomposition) -> ThinRepresentation:
 def parse_pathdecomp(text: str, g) -> PathDecomposition:
     """Lines ``bag v1 v2 ...`` in sequence order, vertex tokens as in files."""
     bags = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in _lines(text):
         parts = line.split()
         if parts[0] != "bag":
             raise ValueError(f"bad path decomposition line {line!r}")

@@ -14,7 +14,7 @@ import heapq
 from itertools import combinations, permutations, product
 
 from gcwidth import BipartiteGraph, BranchDecomposition, Graph, SupportWitness
-from gcwidth.decomp import _glue, _max_induced_matching
+from gcwidth.decomp import _glue, _mim_pair
 
 
 # --- maximum induced matching -----------------------------------------------
@@ -717,7 +717,8 @@ def path_graph(n: int) -> Graph:
 
 def max_induced_matching_sim(g: Graph, side) -> tuple[int, tuple]:
     """As max_induced_matching_cut but the matching is induced in G itself."""
-    return _max_induced_matching(g, side, "sim")
+    xmask = sum(1 << v for v in set(side))
+    return _mim_pair(g.adjacency_masks(), xmask, ((1 << g.n) - 1) & ~xmask, "sim")
 
 
 def multijoin_bound(c: int, p: int, part_widths) -> int:

@@ -454,10 +454,10 @@ class TestInputValidation:
         )]
         # spine nodes that are not consecutive along tree edges
         cases.append({**data, "linear": False, "spine": ["s1", "s8"]})
-        # node names other than t<ASCII digits> for leaves and s<ASCII digits> inside
+        # node names other than t<i> for leaves and s<i> inside, i in ASCII digits without a leading zero
         cases += [renamed(old, new) for old, new in (
-            ("t1", "x1"), ("t1", "t\u0661"), ("t1", "s99"), ("t1", "t"), ("t1", "t+1"),
-            ("s1", "x1"), ("s1", "s\u0661"), ("s1", "t99"),
+            ("t1", "x1"), ("t1", "t\u0661"), ("t1", "s99"), ("t1", "t"), ("t1", "t+1"), ("t1", "t01"),
+            ("s1", "x1"), ("s1", "s\u0661"), ("s1", "t99"), ("s1", "s01"),
         )]
         for case in cases:
             bad = tmp_path / "bad.decomposition.json"
@@ -568,6 +568,41 @@ class TestInputValidation:
             ):
                 err = assert_rejected(tmp_path, capsys, *argv)
                 assert "expected a JSON object, got list" in err
+
+    def test_leading_zeros_in_tokens(self, tmp_path, capsys):
+        # a01 is not a1: tokens are read only in the form the writers print
+        graph, witness, _ = self.crown_artifacts(tmp_path)
+        for i, text in enumerate(("bipartite 2 1\ne a01 b1\n", "bipartite 2 1\ne a1 b001\n", "graph 3\ne 01 2\n")):
+            f = tmp_path / f"zeros{i}.graph"
+            f.write_text(text)
+            assert_rejected(tmp_path, capsys, "oracle", "--param", "mimw", str(f))
+        assert_rejected(tmp_path, capsys, "oracle", "--param", "mim-cut", "--side", "a01", graph)
+        bags = tmp_path / "zeros.bags"
+        bags.write_text("bag a01 b1\n")
+        assert_rejected(tmp_path, capsys, "verify", "--pathdecomp", str(bags), graph)
+        p3 = tmp_path / "p3.graph"
+        p3.write_text("graph 3\ne 1 2\ne 2 3\n")
+        assert_rejected(tmp_path, capsys, "oracle", "--param", "mim-cut", "--side", "01", str(p3))
+        bags.write_text("bag 1 02\nbag 2 3\n")
+        assert_rejected(tmp_path, capsys, "verify", "--pathdecomp", str(bags), str(p3))
+        data = json.loads(Path(witness).read_text())
+        data["vertices"] = [v.replace("a1", "a001") for v in data["vertices"]]
+        bad = tmp_path / "zeros.witness.json"
+        bad.write_text(json.dumps(data))
+        for argv in (
+            ("verify", "--witness", str(bad), graph),
+            ("decompose", "--class", "circular", "--witness", str(bad), graph),
+        ):
+            assert "bad A-vertex token" in assert_rejected(tmp_path, capsys, *argv)
+        g, w = gen_random_hconvex("tree", 6, 6, 1, t=1, delta=3)
+        f = write_graph(tmp_path, g)
+        from gcwidth import representation_to_json, thin_from_tree_support
+
+        rep = representation_to_json(thin_from_tree_support(g, w), g)
+        rep["order"] = [t.replace("b1", "b01") for t in rep["order"]]
+        rf = tmp_path / "zeros.rep.json"
+        rf.write_text(json.dumps(rep))
+        assert_rejected(tmp_path, capsys, "verify", "--representation", str(rf), f)
 
     def test_thin_with_cycle_witness(self, tmp_path, capsys):
         graph, witness, _ = self.crown_artifacts(tmp_path)

@@ -93,7 +93,8 @@ class TestVertexTokens:
         "tok, kind",
         [("x1", "token"), ("a", "token"), ("b1a", "token"), ("", "token"), (3, "token"),
          ("a\u0663", "token"), ("b\u0661", "token"), ("a+1", "token"), ("a 1", "token"),
-         ("a0", "range"), ("b4", "range"), ("a4", "range")],
+         ("a0", "range"), ("b4", "range"), ("a4", "range"),
+         ("a01", "token"), ("b001", "token"), ("a00", "token"), ("b02", "token")],
     )
     def test_bipartite_rejects(self, tok, kind):
         with pytest.raises(GraphFormatError) as err:
@@ -104,7 +105,7 @@ class TestVertexTokens:
         "tok, kind",
         [("a1", "token"), ("-1", "token"), ("+2", "token"), ("1.0", "token"), (2, "token"),
          ("\u0662", "token"), ("\uff12", "token"), ("1_0", "token"), ("\u00b2", "token"),
-         ("0", "range"), ("5", "range")],
+         ("0", "range"), ("5", "range"), ("01", "token"), ("00", "token"), ("004", "token")],
     )
     def test_general_rejects(self, tok, kind):
         with pytest.raises(GraphFormatError) as err:
@@ -115,7 +116,9 @@ class TestVertexTokens:
         "text, kind",
         [("graph 3\ne 1 \u0662\n", "token"), ("graph 12\ne 1_0 +2\n", "token"),
          ("graph 3\ne -1 2\n", "token"), ("graph \u0663\ne 1 2\n", "header"),
-         ("bipartite 2 1\ne a\u0662 b1\n", "token"), ("bipartite \u0662 1\ne a1 b1\n", "header")],
+         ("bipartite 2 1\ne a\u0662 b1\n", "token"), ("bipartite \u0662 1\ne a1 b1\n", "header"),
+         ("bipartite 2 1\ne a01 b001\n", "token"), ("bipartite 2 1\ne a1 b01\n", "token"),
+         ("graph 3\ne 01 2\n", "token"), ("graph 3\ne 1 02\n", "token")],
     )
     def test_file_tokens_are_ascii_decimals(self, text, kind):
         with pytest.raises(GraphFormatError) as err:

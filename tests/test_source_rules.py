@@ -35,6 +35,17 @@ def test_no_dead_private_helpers():
     assert statements and not dead, f"private helpers read nowhere else in src: {dead}"
 
 
+def test_ascii_decimal_read_only_in_graphs():
+    # graphs.py holds the one token codec; a module that imports or reads _ascii_decimal would start a second one
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        if path.name != "graphs.py" and "_ascii_decimal" in _read_names(tree) | imported:
+            found.append(path.name)
+    assert SOURCES and not found, f"_ascii_decimal read outside graphs.py: {found}"
+
+
 # Public functions that no other statement in src reads, each with the reason it stays.
 UNREAD_ALLOWED = {
     "serialize_pathdecomp": "writes bag files; perfbench writes its inputs with it",
