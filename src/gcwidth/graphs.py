@@ -138,9 +138,9 @@ def _numbered(tok, prefix: str) -> int | None:
 
 
 def _vertex(tok, sides: dict) -> int:
-    """The vertex tok names; sides maps each token prefix to the first vertex
-    and the size of its side.  GraphFormatError "token" for a token of no
-    side's form, "range" for a number naming no vertex (0 or past the end)."""
+    """The vertex tok names; sides maps each token prefix ("" for a general
+    graph) to the first vertex and the size of its side.  GraphFormatError
+    "token" for a token of no side's form, "range" for 0 or past the end."""
     prefix = "" if "" in sides or not isinstance(tok, str) else tok[:1]
     side = sides.get(prefix)
     i = None if side is None else _numbered(tok, prefix)
