@@ -130,7 +130,7 @@ def cmd_recognize(args, g, write):
 
 
 def cmd_decompose(args, g, write):
-    w = _support(args, g, args.cls, f"not {args.cls} convex: no witness")
+    w = _support(args, g, args.cls, ("not convex" if args.cls == "convex" else f"not {args.cls} convex") + ": no witness")
     d = _DECOMPOSERS[args.cls](g, w)
     bound = construction_bound(args.cls, w)
     measured, worst = width_of(g, d, "mim")
