@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -16,7 +17,7 @@ from gcwidth import (
     witness_to_json,
 )
 from gcwidth.families import augment_star, gen_crown, gen_grid, gen_random_hconvex
-from gcwidth.supports import _support_pairs
+from gcwidth.supports import KINDS, _SHAPE_TESTS, _support_pairs
 
 from oracles import (
     all_labelled_trees,
@@ -38,6 +39,63 @@ def random_bipartite(rng, a, b):
         frozenset(v for v in range(a) if rng.random() < 0.4) for _ in range(b)
     )
     return BipartiteGraph(a, b, adj)
+
+
+def _random_host(rng, n):
+    """Host edges on 0..n-1: a from_order path or cycle, a random tree, a
+    star, a comb, a comb with one tooth moved, a union of cycles or a
+    random graph."""
+    order = list(range(n))
+    rng.shuffle(order)
+    shape = rng.choice(("path", "cycle", "tree", "star", "comb", "moved", "cycles", "random"))
+    if shape in ("path", "cycle"):
+        return SupportWitness.from_order(shape, order).host_edges
+    if shape == "tree":
+        pairs = [(order[i], order[rng.randrange(i)]) for i in range(1, n)]
+    elif shape == "star":
+        pairs = [(order[0], v) for v in order[1:]]
+    elif shape in ("comb", "moved"):
+        k = n // 2
+        pairs = list(zip(order[: k - 1], order[1:k])) + list(zip(order[:k], order[k : 2 * k]))
+        if shape == "moved" and k >= 2:
+            i = rng.randrange(k)
+            pairs[k - 1 + i] = (order[rng.choice([j for j in range(k) if j != i])], order[k + i])
+    elif shape == "cycles":
+        pairs, start = [], 0
+        while n - start >= 3:
+            size = rng.randint(3, n - start)
+            size = n - start if n - start - size < 3 else size
+            ring = order[start : start + size]
+            pairs += list(zip(ring, ring[1:] + ring[:1]))
+            start += size
+    else:
+        p = rng.uniform(0.1, 0.6)
+        pairs = [pair for pair in combinations(range(n), 2) if rng.random() < p]
+    return frozenset((min(u, v), max(u, v)) for u, v in pairs if u != v)
+
+
+def _shape_corpus(hosts):
+    """Seeded (graph, witness) pairs with |A| <= 9, each host tagged with
+    every kind.  Each N(b) is a random subset of A (density up to 0.7, so
+    N(b) = A turns up on small cycles) or a subset grown along the host."""
+    rng = random.Random(19)
+    for _ in range(hosts):
+        n = rng.randint(1, 9)
+        edges = _random_host(rng, n)
+        adj = SupportWitness("tree", tuple(range(n)), edges).host_adjacency()
+        nbs = []
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.5:
+                density = rng.uniform(0, 0.7)
+                nbs.append(frozenset(v for v in range(n) if rng.random() < density))
+            else:
+                grown = {rng.randrange(n)}
+                while rng.random() < 0.7 and set().union(*(adj[v] for v in grown)) - grown:
+                    grown.add(rng.choice(sorted(set().union(*(adj[v] for v in grown)) - grown)))
+                nbs.append(frozenset(grown))
+        g = BipartiteGraph(n, len(nbs), tuple(nbs))
+        for kind in KINDS:
+            yield g, SupportWitness(kind, tuple(range(n)), edges)
 
 
 class TestVerifySupport:
@@ -78,6 +136,26 @@ class TestVerifySupport:
             "comb", tuple(range(6)), frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)})
         )
         assert not verify_support(g, not_comb)
+
+
+    def test_verify_stream_pinned(self):
+        # one digest over (verify_support, shape test) for every pair of the
+        # seeded corpus: the connectivity rule must keep every answer
+        digest = hashlib.sha256()
+        count = 0
+        for g, w in _shape_corpus(1200):
+            digest.update(repr((verify_support(g, w), _SHAPE_TESTS[w.kind](w))).encode())
+            count += 1
+        assert count >= 5000
+        assert digest.hexdigest() == "e6f795ac63ef5a44961561c15f783b9c1c47c9100bda1bbed80677b8a17361b4"
+
+    def test_agrees_with_connectivity_oracle(self):
+        shaped = 0
+        for g, w in _shape_corpus(1200):
+            if _SHAPE_TESTS[w.kind](w):
+                shaped += 1
+                assert verify_support(g, w) == tree_connects_hyperedges(g.a_size, w.host_edges, g.adj)
+        assert shaped >= 1000
 
 
 class TestFromOrder:
