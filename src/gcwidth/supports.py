@@ -87,76 +87,50 @@ class SupportWitness:
         return tuple(preorder(adj, min(adj))[0])
 
 
-def _connected(adj, inside) -> bool:
-    inside = set(inside)
-    if len(inside) <= 1:
-        return True
-    start = next(iter(inside))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w in inside and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == inside
+def _tree_adjacency(w: SupportWitness) -> dict[int, set[int]] | None:
+    """The host adjacency if the host is a tree (n - 1 edges, one walk reaches all), else None."""
+    adj = w.host_adjacency()
+    n = len(adj)
+    if n and (len(w.host_edges) != n - 1 or len(preorder(adj, w.vertices[0])[0]) != n):
+        return None
+    return adj
 
 
 def _is_tree(w: SupportWitness) -> bool:
-    n = len(w.vertices)
-    if n == 0:
-        return len(w.host_edges) == 0
-    return len(w.host_edges) == n - 1 and _connected(w.host_adjacency(), w.vertices)
+    return _tree_adjacency(w) is not None
 
 
 def _is_path(w: SupportWitness) -> bool:
-    return _is_tree(w) and w.max_degree <= 2
+    adj = _tree_adjacency(w)
+    return adj is not None and all(len(nbrs) <= 2 for nbrs in adj.values())
 
 
 def _is_cycle(w: SupportWitness) -> bool:
+    # on one or two vertices the closed walk is a path (see from_order)
     n = len(w.vertices)
-    if n == 1:
-        return len(w.host_edges) == 0
-    if n == 2:
-        return len(w.host_edges) == 1  # degenerate closed pair
-    deg = w.degrees()
-    return (
-        len(w.host_edges) == n
-        and all(d == 2 for d in deg.values())
-        and _connected(w.host_adjacency(), w.vertices)
-    )
+    if n <= 2:
+        return _is_tree(w)
+    adj = w.host_adjacency()
+    return all(len(nbrs) == 2 for nbrs in adj.values()) and len(preorder(adj, w.vertices[0])[0]) == n
 
 
 def _is_star(w: SupportWitness) -> bool:
-    n = len(w.vertices)
-    if not _is_tree(w):
-        return False
-    if n <= 2:
-        return True
-    deg = w.degrees()
-    return sorted(deg.values())[-1] == n - 1
+    # a tree with at most one non-leaf
+    adj = _tree_adjacency(w)
+    return adj is not None and sum(len(nbrs) >= 2 for nbrs in adj.values()) <= 1
 
 
 def _is_comb(w: SupportWitness) -> bool:
-    # backbone = non-leaves; every backbone vertex needs exactly one tooth
+    # backbone = non-leaves, a subtree once n >= 3; it must be a path and
+    # every backbone vertex needs exactly one tooth
+    adj = _tree_adjacency(w)
     n = len(w.vertices)
-    if not _is_tree(w) or n % 2 != 0:
+    if adj is None or n % 2 != 0:
         return False
-    if n == 2:
-        return True
-    deg = w.degrees()
-    backbone = {v for v, d in deg.items() if d >= 2}
-    if len(backbone) != n // 2:
-        return False
-    adj = w.host_adjacency()
-    if not _connected(adj, backbone):
-        return False
-    for v in backbone:
-        inside = sum(1 for x in adj[v] if x in backbone)
-        if inside > 2 or len(adj[v]) - inside != 1:
-            return False
-    return True
+    backbone = {v for v, nbrs in adj.items() if len(nbrs) >= 2}
+    return n == 2 or len(backbone) == n // 2 and all(
+        len(adj[v] & backbone) <= 2 and len(adj[v] - backbone) == 1 for v in backbone
+    )
 
 
 _SHAPE_TESTS = {
@@ -169,17 +143,23 @@ _SHAPE_TESTS = {
 
 
 def verify_support(g: BipartiteGraph, w: SupportWitness) -> bool:
-    """Check the shape invariant and connectivity of every N(b) in the host.
+    """Check the shape invariant, then that every N(b) induces a connected
+    subgraph of the host.
 
-    Empty and singleton neighbourhoods count as connected.  Raises ValueError
-    when the witness does not span exactly the A side of g.
+    Once the shape passes, the host is a tree (path, tree, star, comb) or a
+    cycle, and connectivity is an edge count: a forest connects a vertex
+    set S iff it has |S| - 1 edges inside S, a proper subset of a cycle
+    induces a forest, and the whole cycle has |S| edges.  So N(b) is
+    accepted iff the host has at least |N(b)| - 1 edges inside it (summed
+    below from both ends); empty and singleton neighbourhoods pass.  Raises
+    ValueError when the witness does not span exactly the A side of g.
     """
     if tuple(sorted(w.vertices)) != tuple(range(g.a_size)):
         raise ValueError("witness does not span the A side of the graph")
     if not _SHAPE_TESTS[w.kind](w):
         return False
     adj = w.host_adjacency()
-    return all(_connected(adj, nb) for nb in g.adj)
+    return all(sum(len(adj[v] & nb) for v in nb) >= 2 * len(nb) - 2 for nb in g.adj)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +254,8 @@ def tree_support_degree_bounded(n: int, hyperedges, t: int, delta: int) -> froze
         return None
     pairs, part = support
     if len(pairs) == n - 1 and len(set(part)) == 1:
-        deg = [0] * n
-        for u, v in pairs:
-            deg[u] += 1
-            deg[v] += 1
-        return pairs if max(deg) <= delta and sum(d >= 3 for d in deg) <= t else None
+        w = SupportWitness("tree", tuple(range(n)), pairs)
+        return pairs if w.max_degree <= delta and len(w.branching) <= t else None
     targets = sorted(
         {he for he in hyperedges if len(he) >= 2},
         key=lambda s: (len(s), sorted(s)),
