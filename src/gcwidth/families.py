@@ -13,7 +13,15 @@ import random
 from .graphs import BipartiteGraph, ascii_int
 from .supports import SupportWitness, verify_support
 
-FAMILIES = ("gk", "crown", "grid", "star_augment", "comb_augment", "random_hconvex")
+# each family and the spec keys it reads
+FAMILIES = {
+    "gk": ("k",),
+    "crown": ("n",),
+    "grid": ("r", "c"),
+    "star_augment": ("input",),
+    "comb_augment": ("input",),
+    "random_hconvex": ("kind", "a", "b", "t", "delta"),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -25,6 +33,9 @@ class GenSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for key in self.params:
+            if key not in FAMILIES[self.family]:
+                raise ValueError(f"{self.family} reads no key {key!r} (keys: {', '.join(FAMILIES[self.family])})")
 
 
 def gen_gk(k: int) -> BipartiteGraph:
@@ -277,16 +288,8 @@ def run_genspec(spec: GenSpec, load_graph=None):
         if fam == "star_augment":
             return "star_augment", augment_star(base), star_witness_for_augmented(base)
         return "comb_augment", augment_comb(base), comb_witness_for_augmented(base)
-    if fam == "random_hconvex":
-        kind = p.get("kind", "path")
-        g, w = gen_random_hconvex(
-            kind,
-            p.get("a", 8),
-            p.get("b", 8),
-            spec.seed,
-            p.get("t", 1),
-            p.get("delta", 3),
-        )
-        shape = kind if kind != "tree" else f"tree{p.get('t', 1)}_{p.get('delta', 3)}"
-        return f"hconvex_{shape}_a{p.get('a', 8)}_b{p.get('b', 8)}_s{spec.seed}", g, w
-    raise ValueError(f"unknown family {fam!r}")
+    # random_hconvex, the one family left (GenSpec admits no other)
+    p = {"kind": "path", "a": 8, "b": 8, "t": 1, "delta": 3, **p}
+    g, w = gen_random_hconvex(p["kind"], p["a"], p["b"], spec.seed, p["t"], p["delta"])
+    shape = p["kind"] if p["kind"] != "tree" else f"tree{p['t']}_{p['delta']}"
+    return f"hconvex_{shape}_a{p['a']}_b{p['b']}_s{spec.seed}", g, w

@@ -262,6 +262,16 @@ class TestGenCommand:
     def test_bad_spec_exit2(self, tmp_path):
         assert run(tmp_path, "gen", "unknown:x=1") == 2
 
+    def test_key_the_family_does_not_read_exit2(self, tmp_path, capsys):
+        for spec, family, key in (
+            ("crown:n=4,m=9", "crown", "m"),
+            ("grid:r=2,c=2,kind=x", "grid", "kind"),
+            ("gk:k=2,input=g.graph", "gk", "input"),
+            ("random_hconvex:kind=path,a=5,b=5,n=3", "random_hconvex", "n"),
+        ):
+            err = assert_rejected(tmp_path, capsys, "gen", spec)
+            assert err.startswith(f"error: {family} reads no key {key!r}")
+
     def test_grid_comb_pipeline(self, tmp_path):
         assert run(tmp_path, "gen", "grid:r=3,c=3") == 0
         grid_file = tmp_path / "out" / "grid_3x3.graph"

@@ -234,6 +234,17 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             parse_genspec("nope:k=3")
 
+    def test_keys_the_family_does_not_read(self):
+        with pytest.raises(ValueError, match="crown reads no key 'm'"):
+            parse_genspec("crown:n=4,m=9")
+        with pytest.raises(ValueError, match="grid reads no key 'kind'"):
+            parse_genspec("grid:r=2,c=2,kind=x")
+        with pytest.raises(ValueError, match="star_augment reads no key 'k'"):
+            GenSpec("star_augment", {"input": "base.graph", "k": 2})
+        # the specs perfbench builds stay valid
+        GenSpec("random_hconvex", {"kind": "tree", "a": 30, "b": 40, "t": 2, "delta": 4}, 1)
+        GenSpec("star_augment", {"input": "base.graph"})
+
     def test_bad_fragment(self):
         with pytest.raises(ValueError):
             parse_genspec("gk:k")
