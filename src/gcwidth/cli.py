@@ -151,6 +151,10 @@ def cmd_width(args, g, write):
 
 def cmd_oracle(args, g, write):
     params = [p.strip() for p in args.param.split(",") if p.strip()]
+    if not params:
+        raise ValueError("nothing to compute: pass --param mimw,simw,thin,pthin,mim-cut")
+    if args.side and "mim-cut" not in params:
+        raise ValueError(f"--side applies to mim-cut, got --param {args.param}")
     guard = {} if args.guard is None else {"guard": args.guard}
     measured = {}
     outputs = {}

@@ -212,6 +212,20 @@ class TestOracleCommand:
         report = read_runs(tmp_path)[-1]
         assert report["measured"]["mim-cut"] == 1
 
+    def test_nothing_to_compute_exit2(self, tmp_path, capsys):
+        f = tmp_path / "p4.graph"
+        f.write_text("graph 4\ne 1 2\ne 2 3\ne 3 4\n")
+        for param in ("", ",", " , "):
+            err = assert_rejected(tmp_path, capsys, "oracle", "--param", param, str(f))
+            assert "nothing to compute" in err
+
+    def test_side_without_mim_cut_exit2(self, tmp_path, capsys):
+        f = tmp_path / "p4.graph"
+        f.write_text("graph 4\ne 1 2\ne 2 3\ne 3 4\n")
+        err = assert_rejected(tmp_path, capsys, "oracle", "--param", "mimw", "--side", "1,2", str(f))
+        assert "--side applies to mim-cut" in err
+        assert not (tmp_path / "out" / "p4.mimw.json").exists()
+
 
 class TestThinAndConvert:
     def test_thin_13(self, tmp_path):
