@@ -153,8 +153,8 @@ def cmd_oracle(args, g, write):
     params = [p.strip() for p in args.param.split(",") if p.strip()]
     if not params:
         raise ValueError("nothing to compute: pass --param mimw,simw,thin,pthin,mim-cut")
-    if args.side and "mim-cut" not in params:
-        raise ValueError(f"--side applies to mim-cut, got --param {args.param}")
+    if bool(args.side) != ("mim-cut" in params):
+        raise ValueError(f"--side applies to mim-cut, got --param {args.param}" if args.side else "mim-cut needs --side")
     guard = {} if args.guard is None else {"guard": args.guard}
     measured = {}
     outputs = {}
@@ -171,8 +171,6 @@ def cmd_oracle(args, g, write):
         elif param == "pthin":
             measured["pthin"] = thinness.pthin_oracle(g, **guard)
         elif param == "mim-cut":
-            if not args.side:
-                raise ValueError("mim-cut needs --side")
             side = [parse_vertex_token(g, tok.strip()) for tok in args.side.split(",")]
             value, _ = max_induced_matching_cut(g.to_graph(), side)
             measured["mim-cut"] = value

@@ -219,11 +219,14 @@ class TestOracleCommand:
             err = assert_rejected(tmp_path, capsys, "oracle", "--param", param, str(f))
             assert "nothing to compute" in err
 
-    def test_side_without_mim_cut_exit2(self, tmp_path, capsys):
+    def test_side_and_mim_cut_go_together_exit2(self, tmp_path, capsys):
+        # checked before any oracle runs, so no artifact is left behind
         f = tmp_path / "p4.graph"
         f.write_text("graph 4\ne 1 2\ne 2 3\ne 3 4\n")
         err = assert_rejected(tmp_path, capsys, "oracle", "--param", "mimw", "--side", "1,2", str(f))
         assert "--side applies to mim-cut" in err
+        err = assert_rejected(tmp_path, capsys, "oracle", "--param", "mimw,mim-cut", str(f))
+        assert err == "error: mim-cut needs --side\n"
         assert not (tmp_path / "out" / "p4.mimw.json").exists()
 
 
