@@ -98,6 +98,39 @@ def _shape_corpus(hosts):
             yield g, SupportWitness(kind, tuple(range(n)), edges)
 
 
+def _search_corpus():
+    """Seeded tree_support_degree_bounded calls (n, hyperedges, t, delta):
+    2,200 hypergraphs with n <= 9, t in 0..3 and delta in 2..5, each
+    hyperedge a random subset of the ground set or a subset grown along a
+    random tree, then planted path, cycle and (2, 4)-tree instances with
+    |A| = 12, each asked for (0, 2), (1, 3) and (2, 4)."""
+    rng = random.Random(23)
+    for _ in range(2200):
+        n = rng.randint(1, 9)
+        order = list(range(n))
+        rng.shuffle(order)
+        adj = {v: set() for v in range(n)}
+        for i in range(1, n):
+            u, v = order[i], order[rng.randrange(i)]
+            adj[u].add(v)
+            adj[v].add(u)
+        hyperedges = []
+        for _ in range(rng.randint(1, 9)):
+            if rng.random() < 0.6:
+                hyperedges.append(frozenset(rng.sample(range(n), rng.randint(0, n))))
+            else:
+                grown = {rng.randrange(n)}
+                while rng.random() < 0.7 and set().union(*(adj[v] for v in grown)) - grown:
+                    grown.add(rng.choice(sorted(set().union(*(adj[v] for v in grown)) - grown)))
+                hyperedges.append(frozenset(grown))
+        yield n, hyperedges, rng.randint(0, 3), rng.randint(2, 5)
+    for seed in range(20):
+        for kind, t, delta in (("path", 0, 2), ("cycle", 0, 2), ("tree", 2, 4)):
+            g, _ = gen_random_hconvex(kind, 12, 12, seed, t=t, delta=delta)
+            for query in ((0, 2), (1, 3), (2, 4)):
+                yield (12, g.adj, *query)
+
+
 class TestVerifySupport:
     def test_edge_on_path(self):
         g = BipartiteGraph(3, 1, (frozenset({0, 1}),))
@@ -218,6 +251,19 @@ class TestTreeSupportDegreeBounded:
                 w = SupportWitness("tree", tuple(range(n)), got)
                 assert len(w.branching) <= t and w.max_degree <= delta
                 assert verify_support(BipartiteGraph(n, m, hyperedges), w)
+
+    def test_search_stream_pinned(self):
+        # one digest over every answer of the seeded corpus, "no" included:
+        # the search must return the same tree, not just some support
+        digest = hashlib.sha256()
+        count = no = 0
+        for n, hyperedges, t, delta in _search_corpus():
+            r = tree_support_degree_bounded(n, hyperedges, t, delta)
+            digest.update(repr(None if r is None else sorted(r)).encode())
+            count += 1
+            no += r is None
+        assert count >= 2000 and no >= 300
+        assert digest.hexdigest() == "b5d0e8af01bac074532f659f721039149703882b8515f5e0ef90d5d6270dd68c"
 
 
 class TestSupportPairs:
