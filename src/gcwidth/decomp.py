@@ -517,31 +517,21 @@ def _spider(g: BipartiteGraph, adj: dict[int, set[int]], bs) -> BranchDecomposit
             blocks.append([])
         blocks[-1].append(x)
     blocks.sort(key=min)
-    comps = [set(block) for block in blocks]
-
-    inside = set(adj)
-    b_prime, b_rest = [], []
-    b_of_comp: list[list[int]] = [[] for _ in comps]
+    leg = {x: i for i, block in enumerate(blocks) for x in block}
+    # each b goes to the one leg holding all its neighbours other than u;
+    # part 0 also takes u and every other b.  bs is ascending, so each
+    # part's list is too.
+    part_bs: list[list[int]] = [[] for _ in blocks]
     for b in bs:
-        nb = g.adj[b - g.a_size] & inside
-        if nb <= {u}:
-            b_prime.append(b)
-            continue
-        for i, comp in enumerate(comps):
-            if nb <= comp | {u}:
-                b_of_comp[i].append(b)
-                break
-        else:
-            b_rest.append(b)
+        legs = {leg[x] for x in g.adj[b - g.a_size] if x in leg}
+        part_bs[legs.pop() if len(legs) == 1 else 0].append(b)
 
     decomps = []
     for i, block in enumerate(blocks):
-        # part 0 also takes u and every b that no single component takes
         path = [u] + block if i == 0 else block
-        part_bs = sorted(b_of_comp[0] + b_prime + b_rest) if i == 0 else b_of_comp[i]
         if path[-1] < path[0]:
             path = path[::-1]
-        decomps.append(caterpillar_from_ordering(interleave(g, path, part_bs)))
+        decomps.append(caterpillar_from_ordering(interleave(g, path, part_bs[i])))
     return _glue(decomps)
 
 

@@ -214,15 +214,12 @@ def _find(rep, x):
     return x
 
 
-def _components(vertices, edges) -> dict[int, int]:
-    """Each vertex's component in the forest `edges` restricted to
-    `vertices`, named by its least member."""
-    rep = {v: v for v in vertices}
+def _components(n: int, edges) -> list[int]:
+    """Each vertex's component root in the forest `edges` on 0..n-1."""
+    rep = list(range(n))
     for u, v in edges:
-        if u in rep and v in rep:
-            ru, rv = _find(rep, u), _find(rep, v)
-            rep[max(ru, rv)] = min(ru, rv)
-    return {v: _find(rep, v) for v in vertices}
+        rep[_find(rep, u)] = _find(rep, v)
+    return [_find(rep, v) for v in range(n)]
 
 
 def tree_support_degree_bounded(n: int, hyperedges, t: int, delta: int) -> frozenset[tuple[int, int]] | None:
@@ -241,11 +238,14 @@ def tree_support_degree_bounded(n: int, hyperedges, t: int, delta: int) -> froze
     At each node the first hyperedge (smallest first, the whole ground set
     last) that the forest leaves disconnected is selected, and the component
     of its least member is joined to the rest of the hyperedge by one new
-    edge.  A branch dies when two members of a hyperedge are already joined
-    by a forest path that leaves the hyperedge, since no supertree can then
-    induce a connected subgraph on it.  A connected hyperedge stays
-    connected deeper in the search, so each node resumes the scan at its
-    parent's hyperedge.  The search keeps its nodes on an explicit stack.
+    edge.  One component map per node decides every hyperedge e: with k
+    forest edges inside it, e falls into |e| - k pieces and is open iff
+    there are two or more.  The branch dies when e's members lie in fewer
+    forest components than pieces, since two pieces are then joined by a
+    forest path leaving e and no supertree connects e; otherwise each piece
+    is one component cut down to e.  A connected hyperedge stays connected
+    deeper in the search, so each node resumes the scan at its parent's
+    hyperedge.  The search keeps its nodes on an explicit stack.
     """
     if n == 0:
         raise ValueError("empty ground set")
@@ -268,24 +268,21 @@ def tree_support_degree_bounded(n: int, hyperedges, t: int, delta: int) -> froze
 
     def first_open(start):
         # the first hyperedge from targets[start] onwards that the forest
-        # leaves disconnected, as (index, local components), with local None
-        # when the branch is dead; (len(targets), None) when there is none
+        # leaves disconnected, as (index, forest components), with None for
+        # a dead branch; (len(targets), None) when there is none
+        comp = _components(n, edges)
         for index in range(start, len(targets)):
-            local = _components(targets[index], edges)
-            if len(set(local.values())) == 1:
-                continue
-            whole = local if index == len(targets) - 1 else _components(range(n), edges)
-            seen: dict[int, int] = {}
-            if any(seen.setdefault(whole[v], local[v]) != local[v] for v in targets[index]):
-                return index, None
-            return index, local
+            e = targets[index]
+            pieces = len(e) - sum(u in e and v in e for u, v in edges)
+            if pieces > 1:
+                return index, comp if len({comp[v] for v in e}) == pieces else None
         return len(targets), None
 
-    def options(target, local):
+    def options(target, comp):
         # the edges joining the least member's component to the rest of target
-        c0 = local[min(target)]
-        inside = sorted(v for v in target if local[v] == c0)
-        outside = sorted(v for v in target if local[v] != c0)
+        c0 = comp[min(target)]
+        inside = sorted(v for v in target if comp[v] == c0)
+        outside = sorted(v for v in target if comp[v] != c0)
         for u in inside:
             if deg[u] >= delta or deg[u] == 2 and spent == budget:
                 continue
@@ -305,10 +302,10 @@ def tree_support_degree_bounded(n: int, hyperedges, t: int, delta: int) -> froze
 
     # no vertex branches below degree 3, and at most n vertices branch
     for budget in range(min(t, n if delta >= 3 else 0) + 1):
-        index, local = first_open(0)
+        index, comp = first_open(0)
         if index == len(targets):
             return frozenset()
-        stack = [(index, options(targets[index], local))]
+        stack = [(index, options(targets[index], comp))]
         while stack:
             index, todo = stack[-1]
             edge = next(todo, None)
@@ -319,13 +316,13 @@ def tree_support_degree_bounded(n: int, hyperedges, t: int, delta: int) -> froze
                 continue
             edges.append(edge)
             shift(edge, 1)
-            index, local = first_open(index)
+            index, comp = first_open(index)
             if index == len(targets):
                 return frozenset(edges)
-            if local is None:
+            if comp is None:
                 shift(edges.pop(), -1)
             else:
-                stack.append((index, options(targets[index], local)))
+                stack.append((index, options(targets[index], comp)))
     return None
 
 
