@@ -155,6 +155,9 @@ def cmd_oracle(args, g, write):
         raise ValueError("nothing to compute: pass --param mimw,simw,thin,pthin,mim-cut")
     if bool(args.side) != ("mim-cut" in params):
         raise ValueError(f"--side applies to mim-cut, got --param {args.param}" if args.side else "mim-cut needs --side")
+    for param in params:
+        if param not in ("mimw", "simw", "thin", "pthin", "mim-cut"):
+            raise ValueError(f"unknown oracle parameter {param!r}")
     guard = {} if args.guard is None else {"guard": args.guard}
     measured = {}
     outputs = {}
@@ -170,12 +173,10 @@ def cmd_oracle(args, g, write):
             measured["thin"] = thinness.thin_oracle(g, **guard)
         elif param == "pthin":
             measured["pthin"] = thinness.pthin_oracle(g, **guard)
-        elif param == "mim-cut":
+        else:  # mim-cut
             side = [parse_vertex_token(g, tok.strip()) for tok in args.side.split(",")]
             value, _ = max_induced_matching_cut(g.to_graph(), side)
             measured["mim-cut"] = value
-        else:
-            raise ValueError(f"unknown oracle parameter {param!r}")
     passed = True
     if "mimw" in measured and "simw" in measured:
         passed = measured["simw"] <= measured["mimw"]

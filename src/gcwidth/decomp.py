@@ -626,7 +626,7 @@ def decomposition_to_json(d: BranchDecomposition, g) -> dict:
 
 
 def decomposition_from_json(data: dict, g) -> BranchDecomposition:
-    leaves, tree_edges, spine = data["leaves"], data["tree_edges"], data.get("spine", [])
+    leaves, tree_edges, spine = data.get("leaves"), data.get("tree_edges"), data.get("spine", [])
     linear = data.get("linear", False)
     if not (isinstance(leaves, dict) and _str_lists(tree_edges, 2) and _str_list(spine) and isinstance(linear, bool)):
         raise ValueError("decomposition needs leaves {name: token}, tree_edges [[name, name]], spine [name], "

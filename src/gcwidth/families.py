@@ -13,14 +13,14 @@ import random
 from .graphs import BipartiteGraph, ascii_int
 from .supports import SupportWitness, verify_support
 
-# each family and the spec keys it reads
+# each family and the spec keys it reads, with their defaults (None: required)
 FAMILIES = {
-    "gk": ("k",),
-    "crown": ("n",),
-    "grid": ("r", "c"),
-    "star_augment": ("input",),
-    "comb_augment": ("input",),
-    "random_hconvex": ("kind", "a", "b", "t", "delta"),
+    "gk": {"k": None},
+    "crown": {"n": None},
+    "grid": {"r": None, "c": None},
+    "star_augment": {"input": None},
+    "comb_augment": {"input": None},
+    "random_hconvex": {"kind": "path", "a": 8, "b": 8, "t": 1, "delta": 3},
 }
 
 
@@ -33,9 +33,13 @@ class GenSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        keys = FAMILIES[self.family]
         for key in self.params:
-            if key not in FAMILIES[self.family]:
-                raise ValueError(f"{self.family} reads no key {key!r} (keys: {', '.join(FAMILIES[self.family])})")
+            if key not in keys:
+                raise ValueError(f"{self.family} reads no key {key!r} (keys: {', '.join(keys)})")
+        for key, default in keys.items():
+            if default is None and key not in self.params:
+                raise ValueError(f"{self.family} needs key {key!r}")
 
 
 def gen_gk(k: int) -> BipartiteGraph:
@@ -271,7 +275,7 @@ def run_genspec(spec: GenSpec, load_graph=None):
     Augmentation families need `load_graph`, a callable mapping the
     ``input`` parameter to a BipartiteGraph.
     """
-    fam, p = spec.family, dict(spec.params)
+    fam, p = spec.family, {**FAMILIES[spec.family], **spec.params}
     if fam == "gk":
         return f"gk_k{p['k']}", gen_gk(p["k"]), None
     if fam == "crown":
@@ -280,8 +284,8 @@ def run_genspec(spec: GenSpec, load_graph=None):
     if fam == "grid":
         return f"grid_{p['r']}x{p['c']}", gen_grid(p["r"], p["c"]), None
     if fam in ("star_augment", "comb_augment"):
-        if load_graph is None or "input" not in p:
-            raise ValueError(f"{fam} needs an input=<file> parameter")
+        if load_graph is None:
+            raise ValueError(f"{fam} needs load_graph to read its input")
         base = load_graph(p["input"])
         if not isinstance(base, BipartiteGraph):
             raise ValueError("augmentation input must be bipartite")
@@ -289,7 +293,6 @@ def run_genspec(spec: GenSpec, load_graph=None):
             return "star_augment", augment_star(base), star_witness_for_augmented(base)
         return "comb_augment", augment_comb(base), comb_witness_for_augmented(base)
     # random_hconvex, the one family left (GenSpec admits no other)
-    p = {"kind": "path", "a": 8, "b": 8, "t": 1, "delta": 3, **p}
     g, w = gen_random_hconvex(p["kind"], p["a"], p["b"], spec.seed, p["t"], p["delta"])
     shape = p["kind"] if p["kind"] != "tree" else f"tree{p['t']}_{p['delta']}"
     return f"hconvex_{shape}_a{p['a']}_b{p['b']}_s{spec.seed}", g, w

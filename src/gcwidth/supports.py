@@ -413,7 +413,7 @@ def witness_to_json(w: SupportWitness) -> dict:
 
 
 def witness_from_json(data: dict) -> SupportWitness:
-    kind, vertices, host_edges = data["kind"], data["vertices"], data["host_edges"]
+    kind, vertices, host_edges = data.get("kind"), data.get("vertices"), data.get("host_edges")
     if not (isinstance(kind, str) and _str_list(vertices) and _str_lists(host_edges, 2)):
         raise ValueError("witness needs kind \"name\", vertices [token], host_edges [[token, token]]")
     index = {tok: _numbered(tok, "a") for toks in (*host_edges, vertices) for tok in toks}

@@ -339,7 +339,7 @@ def representation_to_json(r: ThinRepresentation, g) -> dict:
 
 
 def representation_from_json(data: dict, g) -> ThinRepresentation:
-    order, classes, strong = data["order"], data["classes"], data.get("strong", False)
+    order, classes, strong = data.get("order"), data.get("classes"), data.get("strong", False)
     if not (_str_list(order) and _str_lists(classes) and isinstance(strong, bool)):
         raise ValueError("representation needs order [token], classes [[token]], strong a boolean")
     return ThinRepresentation(

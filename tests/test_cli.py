@@ -229,6 +229,15 @@ class TestOracleCommand:
         assert err == "error: mim-cut needs --side\n"
         assert not (tmp_path / "out" / "p4.mimw.json").exists()
 
+    def test_unknown_param_leaves_no_artifact(self, tmp_path, capsys):
+        # every name is checked before the first oracle runs
+        f = tmp_path / "p4.graph"
+        f.write_text("graph 4\ne 1 2\ne 2 3\ne 3 4\n")
+        for param in ("mimw,treewidth", "treewidth,mimw"):
+            err = assert_rejected(tmp_path, capsys, "oracle", "--param", param, str(f))
+            assert err == "error: unknown oracle parameter 'treewidth'\n"
+            assert not (tmp_path / "out" / "p4.mimw.json").exists()
+
 
 class TestThinAndConvert:
     def test_thin_13(self, tmp_path):
@@ -288,6 +297,9 @@ class TestGenCommand:
         ):
             err = assert_rejected(tmp_path, capsys, "gen", spec)
             assert err.startswith(f"error: {family} reads no key {key!r}")
+        for spec, family, key in (("crown", "crown", "n"), ("grid:r=3", "grid", "c"), ("gk:seed=2", "gk", "k")):
+            err = assert_rejected(tmp_path, capsys, "gen", spec)
+            assert err == f"error: {family} needs key {key!r}\n"
 
     def test_grid_comb_pipeline(self, tmp_path):
         assert run(tmp_path, "gen", "grid:r=3,c=3") == 0
@@ -481,6 +493,8 @@ class TestInputValidation:
         )]
         # spine nodes that are not consecutive along tree edges
         cases.append({**data, "linear": False, "spine": ["s1", "s8"]})
+        # a required field left out
+        cases += [{k: v for k, v in data.items() if k != key} for key in ("leaves", "tree_edges")]
         # node names other than t<i> for leaves and s<i> inside, i in ASCII digits without a leading zero
         cases += [renamed(old, new) for old, new in (
             ("t1", "x1"), ("t1", "t\u0661"), ("t1", "s99"), ("t1", "t"), ("t1", "t+1"), ("t1", "t01"),
@@ -497,7 +511,7 @@ class TestInputValidation:
         graph, witness, _ = self.crown_artifacts(tmp_path)
         data = json.loads(Path(witness).read_text())
         edges = data["host_edges"]
-        for key, value in (
+        cases = [{**data, key: value} for key, value in (
             ("vertices", 5),
             ("vertices", "a1"),
             ("vertices", [1, 2]),
@@ -507,9 +521,12 @@ class TestInputValidation:
             ("host_edges", [[1, 2]] + edges[1:]),
             ("kind", ["cycle"]),
             ("kind", 5),
-        ):
+        )]
+        # a required field left out
+        cases += [{k: v for k, v in data.items() if k != key} for key in ("kind", "vertices", "host_edges")]
+        for case in cases:
             bad = tmp_path / "bad.witness.json"
-            bad.write_text(json.dumps({**data, key: value}))
+            bad.write_text(json.dumps(case))
             for argv in (
                 ("verify", "--witness", str(bad), graph),
                 ("decompose", "--class", "circular", "--witness", str(bad), graph),
@@ -523,7 +540,7 @@ class TestInputValidation:
         from gcwidth import representation_to_json, thin_from_tree_support
 
         data = representation_to_json(thin_from_tree_support(g, w), g)
-        for key, value in (
+        cases = [{**data, key: value} for key, value in (
             ("order", 5),
             ("order", "a1"),
             ("order", [1, 2]),
@@ -532,9 +549,12 @@ class TestInputValidation:
             ("classes", [[1]]),
             ("classes", {"c": data["classes"]}),
             ("strong", "no"),
-        ):
+        )]
+        # a required field left out
+        cases += [{k: v for k, v in data.items() if k != key} for key in ("order", "classes")]
+        for case in cases:
             rf = tmp_path / "rep.json"
-            rf.write_text(json.dumps({**data, key: value}))
+            rf.write_text(json.dumps(case))
             for strong in ((), ("--strong",)):
                 err = assert_rejected(tmp_path, capsys, "verify", "--representation", str(rf), *strong, f)
                 assert "representation needs" in err

@@ -241,9 +241,17 @@ class TestGenSpec:
             parse_genspec("grid:r=2,c=2,kind=x")
         with pytest.raises(ValueError, match="star_augment reads no key 'k'"):
             GenSpec("star_augment", {"input": "base.graph", "k": 2})
-        # the specs perfbench builds stay valid
+        # a required key left out is named with its family
+        with pytest.raises(ValueError, match="crown needs key 'n'"):
+            parse_genspec("crown")
+        with pytest.raises(ValueError, match="grid needs key 'c'"):
+            parse_genspec("grid:r=3")
+        with pytest.raises(ValueError, match="comb_augment needs key 'input'"):
+            GenSpec("comb_augment", {})
+        # the specs perfbench builds stay valid, and random_hconvex has a default for every key
         GenSpec("random_hconvex", {"kind": "tree", "a": 30, "b": 40, "t": 2, "delta": 4}, 1)
         GenSpec("star_augment", {"input": "base.graph"})
+        assert run_genspec(GenSpec("random_hconvex", {}))[0] == "hconvex_path_a8_b8_s0"
 
     def test_bad_fragment(self):
         with pytest.raises(ValueError):
