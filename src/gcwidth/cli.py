@@ -150,13 +150,14 @@ def cmd_width(args, g, write):
 
 
 def cmd_oracle(args, g, write):
+    known = ("mimw", "simw", "thin", "pthin", "mim-cut")
     params = [p.strip() for p in args.param.split(",") if p.strip()]
     if not params:
-        raise ValueError("nothing to compute: pass --param mimw,simw,thin,pthin,mim-cut")
+        raise ValueError(f"nothing to compute: pass --param {','.join(known)}")
     if bool(args.side) != ("mim-cut" in params):
         raise ValueError(f"--side applies to mim-cut, got --param {args.param}" if args.side else "mim-cut needs --side")
     for param in params:
-        if param not in ("mimw", "simw", "thin", "pthin", "mim-cut"):
+        if param not in known:
             raise ValueError(f"unknown oracle parameter {param!r}")
     guard = {} if args.guard is None else {"guard": args.guard}
     measured = {}
