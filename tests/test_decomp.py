@@ -31,7 +31,7 @@ from gcwidth import (
 from gcwidth import decomp
 from gcwidth.decomp import construction_bound, interleave, pthin_bound, thin_bound
 from gcwidth.graphs import GraphFormatError
-from gcwidth.families import gen_crown, gen_random_hconvex
+from gcwidth.families import gen_crown, gen_grid, gen_random_hconvex
 
 from oracles import (
     brute_max_independent_set,
@@ -401,6 +401,20 @@ class TestOracles:
             g2 = Graph.make(n + 1, list(g.edges) + extra)
             assert mimw_oracle(g2)[0] >= mimw_oracle(g)[0]
             assert simw_oracle(g2)[0] >= simw_oracle(g)[0]
+
+    def test_oracle_stream_pinned(self):
+        # exact mim- and sim-width of 672 seeded graphs (n = 1..8, densities
+        # 0.2..0.7), crowns 2..5 and grids up to 3 x 3
+        digest = hashlib.sha256()
+        cases = []
+        for i in range(672):
+            rng = random.Random(repr(("oracle", i)))
+            cases.append((random_graph(rng, 1 + i % 8, (0.2, 0.3, 0.4, 0.5, 0.6, 0.7)[i // 8 % 6]), 8))
+        cases += [(gen_crown(k)[0], 10) for k in range(2, 6)]
+        cases += [(gen_grid(r, c), 10) for r in range(1, 4) for c in range(r, 4)]
+        for g, guard in cases:
+            digest.update(repr((mimw_oracle(g, guard)[0], simw_oracle(g, guard)[0])).encode())
+        assert digest.hexdigest() == "30f676fc44bc01ac661c3b50af3e4dc5fe96a3f1edb35812f4a0538d51a4c72d"
 
 
 class TestBounds:
