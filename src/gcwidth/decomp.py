@@ -292,77 +292,63 @@ def width_of(g: Graph | BipartiteGraph, d: BranchDecomposition, mode: str = "mim
 
 
 def _min_width_over_trees(g: Graph, mode: str, guard: int):
+    """Least width over all branch decompositions of g, with a tree that has
+    it.  The identity caterpillar sets the bound, and a dynamic program over
+    vertex sets (the subset-split recurrence of Oum 2009) looks below it.
+    f[s], the least width of a rooted binary tree on the leaves s counting
+    the cut (s, V - s) above its root, is max(cut(s), min over s = a + b of
+    max(f[a], f[b])).  Every branch decomposition is such a tree on the set
+    top = V - {n-1} with the leaf of n-1 hung on its root: the answer is
+    f[top].  Cost: 2^(n-1) cuts and at most 3^(n-1) / 2 splits, both
+    skipped when the caterpillar meets the trivial bound; memory Theta(2^n).
+    """
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
     if n > guard:
         raise SizeGuardError(f"{n} vertices exceeds oracle guard {guard}")
-    if n == 1:
-        return 0, BranchDecomposition(Graph(1, frozenset()), {0: 0}, True, ())
-    adj_masks = g.adjacency_masks()
-    memo: dict[tuple[int, int], int] = {}
-
-    def cutv(xmask, ymask):
-        key = (xmask, ymask) if xmask <= ymask else (ymask, xmask)
-        if key not in memo:
-            memo[key] = _mim_pair(adj_masks, xmask, ymask, mode)[0]
-        return memo[key]
-
     start = caterpillar_from_ordering(range(n))
-    best_val, _ = width_of(g, start, mode)
-    best_tree = start
+    bound, _ = width_of(g, start, mode)
     # no tree beats the trivial lower bound: 0 without edges, otherwise 1
-    if n == 2 or best_val == min(len(g.edges), 1):
-        return best_val, best_tree
-
-    def partial_width(tadj, placed_mask, stop_at):
-        # reverse preorder: below[x] is complete when the edge above x comes up
-        worst = 0
-        order, parent = preorder(tadj, 0)
-        below = {x: (1 << x) & placed_mask if x < n else 0 for x in order}
-        for x in reversed(order[1:]):
-            val = cutv(below[x], placed_mask & ~below[x])
-            if val > worst:
-                worst = val
-                if worst >= stop_at:
-                    return worst
-            below[parent[x]] |= below[x]
-        return worst
-
-    def insert(k, tadj, next_internal, placed_mask):
-        nonlocal best_val, best_tree
-        if k == n:
-            w = partial_width(tadj, placed_mask, best_val)
-            if w < best_val:
-                best_val = w
-                edge_list = [(u, v) for u in tadj for v in tadj[u] if u < v]
-                node_ids = sorted(tadj)
-                relabel = {node: i for i, node in enumerate(node_ids)}
-                tree = Graph.make(len(node_ids), [(relabel[u], relabel[v]) for u, v in edge_list])
-                best_tree = BranchDecomposition(tree, {relabel[i]: i for i in range(n)}, False, ())
-            return
-        tree_edges = sorted((u, v) for u in tadj for v in tadj[u] if u < v)
-        for (u, v) in tree_edges:
-            w = next_internal
-            tadj[u].discard(v)
-            tadj[v].discard(u)
-            tadj[w] = {u, v, k}
-            tadj[u].add(w)
-            tadj[v].add(w)
-            tadj[k] = {w}
-            new_mask = placed_mask | (1 << k)
-            if partial_width(tadj, new_mask, best_val) < best_val:
-                insert(k + 1, tadj, next_internal + 1, new_mask)
-            del tadj[w]
-            del tadj[k]
-            tadj[u].discard(w)
-            tadj[v].discard(w)
-            tadj[u].add(v)
-            tadj[v].add(u)
-
-    tadj0 = {0: {1}, 1: {0}}
-    insert(2, tadj0, n, 0b11)
-    return best_val, best_tree
+    if bound == min(len(g.edges), 1):
+        return bound, start
+    adj_masks = g.adjacency_masks()
+    full = (1 << n) - 1
+    top = full >> 1
+    cut = [_mim_pair(adj_masks, s, full ^ s, mode)[0] for s in range(top + 1)]
+    # f[s] == bound: no tree on s stays below it; split[s]: the part of the
+    # best split of s that holds its least vertex
+    f = [bound] * (top + 1)
+    split = [0] * (top + 1)
+    for s in range(1, top + 1):
+        own = cut[s]
+        low = s & -s
+        rest = sub = s ^ low
+        if own >= bound or not rest:
+            f[s] = min(own, bound)
+            continue
+        while sub:
+            sub = (sub - 1) & rest
+            value = max(f[sub | low], f[rest ^ sub])
+            if value < f[s]:
+                f[s] = max(value, own)
+                split[s] = sub | low
+                if value <= own:
+                    break
+    if f[top] == bound:
+        return bound, start
+    # leaves 0..n-1 carry vertices 0..n-1, internal nodes follow in stack order
+    node = {top: n}
+    edges = [(n - 1, n)]
+    stack = [top]
+    while stack:
+        s = stack.pop()
+        for part in (split[s], s ^ split[s]):
+            if part & (part - 1):
+                node[part] = n + len(node)
+                stack.append(part)
+            edges.append((node[s], node.get(part, part.bit_length() - 1)))
+    return f[top], BranchDecomposition(Graph.make(2 * n - 2, edges), {v: v for v in range(n)}, False, ())
 
 
 def mimw_oracle(g: Graph | BipartiteGraph, guard: int = 8):

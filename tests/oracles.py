@@ -513,6 +513,22 @@ def brute_width(n, edges, tree_edges, leaf_map, mode):
     return best, report
 
 
+def brute_min_width(n, edges, mode):
+    """Least width over all branch decompositions of the graph on 0..n-1,
+    by scoring every unrooted binary tree with leaves 0..n-1 with
+    brute_width.  The trees are grown by inserting leaf k (on a new internal
+    node n + k - 2) into every edge of every tree on leaves 0..k-1; nothing
+    is pruned, so n = 7 already means 945 trees."""
+    if n == 1:
+        return 0
+    trees = [[(0, 1)]]
+    for k in range(2, n):
+        w = n + k - 2
+        trees = [[e for e in t if e != (u, v)] + [(u, w), (v, w), (k, w)] for t in trees for u, v in t]
+    leaf_map = {v: v for v in range(n)}
+    return min(brute_width(n, edges, t, leaf_map, mode)[0] for t in trees)
+
+
 def tdelta_split(vertices, host_edges):
     """The (t,delta) split edge by the per-edge search of the original
     construction: delete each host edge in sorted order, walk both sides and

@@ -36,6 +36,7 @@ from gcwidth.families import gen_crown, gen_grid, gen_random_hconvex
 from oracles import (
     brute_max_independent_set,
     brute_max_induced_matching,
+    brute_min_width,
     brute_width,
     complete_bipartite,
     cycle_graph,
@@ -380,11 +381,26 @@ class TestOracles:
 
     def test_oracle_witness_achieves_value(self):
         rng = random.Random(37)
-        for _ in range(6):
-            g = random_graph(rng, rng.randint(2, 6))
-            value, witness = mimw_oracle(g)
-            validate_decomposition(g, witness)
-            assert width_of(g, witness, "mim")[0] == value
+        rebuilt = 0
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(2, 8), rng.choice((0.3, 0.5, 0.7)))
+            for oracle, mode in ((mimw_oracle, "mim"), (simw_oracle, "sim")):
+                value, witness = oracle(g)
+                validate_decomposition(g, witness)
+                assert width_of(g, witness, mode)[0] == value
+                rebuilt += witness != caterpillar_from_ordering(range(g.n))
+        # some trees come from the subset DP, not the starting caterpillar
+        assert rebuilt > 0
+
+    def test_oracles_match_brute_force(self):
+        rng = random.Random(47)
+        graphs = [random_graph(rng, rng.randint(1, 6), rng.choice((0.3, 0.5, 0.7))) for _ in range(80)]
+        values = set()
+        for g in graphs + [cycle_graph(5), cycle_graph(6)]:
+            want = (brute_min_width(g.n, g.edges, "mim"), brute_min_width(g.n, g.edges, "sim"))
+            assert (mimw_oracle(g)[0], simw_oracle(g)[0]) == want
+            values.add(want)
+        assert values == {(0, 0), (1, 1), (2, 1)}
 
     def test_sim_le_mim(self):
         rng = random.Random(41)

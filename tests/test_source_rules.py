@@ -89,7 +89,6 @@ def test_no_unread_methods():
 
 # Self-recursive functions allowed in src, each with the bound on its depth.
 RECURSION_ALLOWED = {
-    "_min_width_over_trees.insert": "at most the oracle guard",
     "_max_independent_set.solve": "at most the maximum matching size",
     "gen_gk": "k <= 5",
     "decompose_tdelta.split": "at most t",
