@@ -616,6 +616,21 @@ class TestInputValidation:
                 err = assert_rejected(tmp_path, capsys, *argv)
                 assert "expected a JSON object, got list" in err
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        # json.loads raises RecursionError here; it must not end in a traceback (exit 1 reads as "no")
+        graph, _, _ = self.crown_artifacts(tmp_path)
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000)
+        for argv in (
+            ("verify", "--witness", str(deep), graph),
+            ("decompose", "--class", "circular", "--witness", str(deep), graph),
+            ("width", "--decomposition", str(deep), graph),
+            ("verify", "--decomposition", str(deep), graph),
+            ("verify", "--representation", str(deep), graph),
+        ):
+            err = assert_rejected(tmp_path, capsys, *argv)
+            assert "JSON nested too deeply" in err
+
     def test_leading_zeros_in_tokens(self, tmp_path, capsys):
         # a01 is not a1: tokens are read only in the form the writers print
         graph, witness, _ = self.crown_artifacts(tmp_path)
