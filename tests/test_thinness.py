@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from gcwidth import (
     width_of,
 )
 from gcwidth import thinness
-from gcwidth.families import gen_crown, gen_gk, gen_random_hconvex
+from gcwidth.families import gen_crown, gen_gk, gen_grid, gen_random_hconvex
 
 from oracles import (
     brute_thinness,
@@ -235,6 +236,21 @@ class TestThinOracle:
     def test_gk_family_small(self):
         assert pthin_oracle(gen_gk(1)) == 1
         assert pthin_oracle(gen_gk(2)) == 2  # K_{1,3}
+
+    def test_thinness_stream_pinned(self):
+        # thinness and proper thinness of 630 seeded graphs (n = 1..9,
+        # densities 0.2..0.8), crowns 2..5, grids up to 3 x 3 and gk(1..2)
+        digest = hashlib.sha256()
+        cases = []
+        for i in range(630):
+            rng = random.Random(repr(("thinness", i)))
+            cases.append(random_graph(rng, 1 + i % 9, (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)[i // 9 % 7]))
+        cases += [gen_crown(k)[0] for k in range(2, 6)]
+        cases += [gen_grid(r, c) for r in range(1, 4) for c in range(r, 4)]
+        cases += [gen_gk(k) for k in (1, 2)]
+        for g in cases:
+            digest.update(repr((thin_oracle(g), pthin_oracle(g))).encode())
+        assert digest.hexdigest() == "f075f9c8179afe419298c03354c485ffd07bd2f336fb1f05969bed517021dccf"
 
 
 class TestThinFromTreeSupport:
