@@ -144,51 +144,65 @@ def _placement(n: int, adj: list[int], k: int, proper: bool) -> ThinRepresentati
     thinness, in its high n bits the placed non-neighbours that any later
     member must avoid (always 0 for thinness).  Classes whose mask is empty
     behave exactly like unopened ones, so a state is the placed set plus the
-    sorted nonzero masks; it is pushed again only with fewer classes used.
-    Class labels and the placement path ride beside the state, so the first
-    complete placement gives the representation.
+    sorted nonzero masks, a fresh class may open iff fewer than k masks are
+    nonzero, and each state is expanded once.  The path records the index of
+    the mask each vertex joined (-1: a fresh class); replaying the first
+    complete path labels the classes.
     """
     full = (1 << n) - 1
     # masks v may not join: an unplaced neighbour of a member that v misses,
     # or an avoided vertex adjacent to v
     blocked = [(full & ~adj[v] & ~(1 << v)) | (adj[v] << n) for v in range(n)]
     lives: dict[int, int] = {}
-    least = {(0, ()): 0}
-    stack: list[tuple] = [(0, (), (), 0, None)]  # placed, masks, labels, classes used, path
+
+    def step(placed: int, v: int) -> tuple[int, int]:
+        """The mask bits still in use once v is placed, and v's own mask."""
+        nplaced = placed | (1 << v)
+        if proper and nplaced not in lives:
+            lives[nplaced] = 0
+            for u in _bits(full & ~nplaced):
+                lives[nplaced] |= adj[u]
+        live = lives.get(nplaced, 0)
+        keep = (full & ~nplaced) | (live << n)
+        return keep, (adj[v] | ((placed & ~adj[v] & live) << n)) & keep
+
+    seen = {0}  # placed set, then each sorted nonzero mask in 2n more bits
+    stack: list[tuple] = [(0, (), None)]  # placed, masks, path
     while stack:
-        placed, masks, labels, count, path = stack.pop()
+        placed, masks, path = stack.pop()
         if placed == full:
-            order, classes = [], {}
+            # replay the path through the same mask step to label the classes;
+            # a fresh class takes the label of a class whose mask went empty
+            moves, classes, pairs, placed = [], {}, [], 0  # pairs: sorted (nonzero mask, label)
             while path:
-                v, label, path = path
-                order.append(v)
+                v, i, path = path
+                moves.insert(0, (v, i))
+            for v, i in moves:
+                keep, grown = step(placed, v)
+                m, label = pairs[i] if i >= 0 else (0, min(set(range(len(classes) + 1)) - {c for _, c in pairs}))
                 classes.setdefault(label, set()).add(v)
-            return ThinRepresentation(tuple(reversed(order)), tuple(map(frozenset, classes.values())), proper)
-        if least[placed, masks] < count:
-            continue
-        # a fresh class reuses the label of a class whose mask went empty
-        free = min(set(range(count)) - set(labels), default=count)
-        fresh_count = count + (free == count)
+                moved = [(t & keep, c) for j, (t, c) in enumerate(pairs) if j != i] + [((m & keep) | grown, label)]
+                pairs = sorted(p for p in moved if p[0])
+                placed |= 1 << v
+            return ThinRepresentation(tuple(v for v, _ in moves), tuple(map(frozenset, classes.values())), proper)
         for v in reversed(list(_bits(full & ~placed))):
+            joins = [i for i, m in enumerate(masks) if not m & blocked[v]]
+            if len(masks) < k:
+                joins.append(-1)
+            elif not joins:
+                continue
+            keep, grown = step(placed, v)
             nplaced = placed | (1 << v)
-            rest = full & ~nplaced
-            if proper and nplaced not in lives:
-                lives[nplaced] = 0
-                for u in _bits(rest):
-                    lives[nplaced] |= adj[u]
-            live = lives.get(nplaced, 0)
-            keep = rest | (live << n)
-            grown = adj[v] | ((placed & ~adj[v] & live) << n)
-            trimmed = [(m & keep, label) for m, label in zip(masks, labels)]
-            moves = [(i, (m | grown) & keep, labels[i], count) for i, m in enumerate(masks) if not m & blocked[v]]
-            if fresh_count <= k:
-                moves.append((-1, grown & keep, free, fresh_count))
-            for i, m, label, ncount in reversed(moves):
-                kept = sorted([t for j, t in enumerate(trimmed) if j != i and t[0]] + ([(m, label)] if m else []))
-                key = (nplaced, tuple(t[0] for t in kept))
-                if least.get(key, k + 1) > ncount:
-                    least[key] = ncount
-                    stack.append((*key, tuple(t[1] for t in kept), ncount, (v, label, path)))
+            trimmed = [m & keep for m in masks]
+            for i in reversed(joins):
+                m = trimmed[i] | grown if i >= 0 else grown
+                kept = sorted([t for j, t in enumerate(trimmed) if t and j != i] + ([m] if m else []))
+                key = nplaced
+                for t in kept:
+                    key = key << 2 * n | t
+                if key not in seen:
+                    seen.add(key)
+                    stack.append((nplaced, tuple(kept), (v, i, path)))
     return None
 
 

@@ -192,6 +192,7 @@ def test_criterion_7_crown_growth():
     for prev, cur in zip(values, values[1:]):
         assert cur >= prev, f"thinness decreased: {values}"
     assert any(cur > prev for prev, cur in zip(values, values[1:])), values
+    assert values == [1, 2, 3, 4, 5, 6]
     elapsed = time.perf_counter() - start
     print(f"PASS criterion 7: thin(crown(n)) for n=2..7 is {values} "
           f"(non-decreasing, strictly increases); all crowns circular with width <= 2 "

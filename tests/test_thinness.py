@@ -199,7 +199,9 @@ class TestThinOracle:
     @pytest.mark.parametrize("proper", [False, True])
     def test_placement_is_a_certificate(self, proper):
         rng = random.Random(99 + proper)
-        graphs = [cycle_graph(5), gen_crown(3)[0].to_graph(), gen_gk(2).to_graph()]
+        # crown(4) and the 3 x 3 grid reopen classes whose masks went empty
+        graphs = [cycle_graph(5), gen_crown(3)[0].to_graph(), gen_crown(4)[0].to_graph(), gen_grid(3, 3).to_graph()]
+        graphs.append(gen_gk(2).to_graph())
         graphs += [random_graph(rng, rng.randint(2, 8)) for _ in range(20)]
         verify = verify_strongly_consistent if proper else verify_consistent
         for g in graphs:
