@@ -238,6 +238,34 @@ class TestOracleCommand:
             assert err == "error: unknown oracle parameter 'treewidth'\n"
             assert not (tmp_path / "out" / "p4.mimw.json").exists()
 
+    def test_repeated_param_computed_once(self, tmp_path, monkeypatch):
+        from gcwidth import thinness
+
+        calls = []
+
+        def counted(name):
+            oracle = getattr(thinness, name)
+            return lambda g, **kw: calls.append(name) or oracle(g, **kw)
+
+        for name in ("thin_oracle", "pthin_oracle"):
+            monkeypatch.setattr(thinness, name, counted(name))
+        f = write_graph(tmp_path, gen_crown(3)[0])
+        assert run(tmp_path, "oracle", "--param", "pthin,pthin,pthin", f) == 0
+        assert calls == ["pthin_oracle"]
+        assert run(tmp_path, "oracle", "--param", "pthin, thin,pthin,thin", f) == 0
+        assert calls == ["pthin_oracle", "pthin_oracle", "thin_oracle"]
+        assert list(read_runs(tmp_path)[-1]["measured"]) == ["pthin", "thin"]
+
+    def test_thin_above_pthin_fails(self, tmp_path, monkeypatch):
+        from gcwidth import thinness
+
+        monkeypatch.setattr(thinness, "pthin_oracle", lambda g, **kw: thinness.thin_oracle(g, **kw) - 1)
+        f = write_graph(tmp_path, gen_crown(3)[0])
+        assert run(tmp_path, "oracle", "--param", "thin,pthin", f) == 1
+        report = read_runs(tmp_path)[-1]
+        assert report["pass"] is False
+        assert report["measured"]["thin"] == report["measured"]["pthin"] + 1
+
 
 class TestThinAndConvert:
     def test_thin_13(self, tmp_path):
