@@ -328,6 +328,37 @@ class TestWidthOf:
                         digest.update(repr(width_of(g, d, mode)).encode())
         assert digest.hexdigest() == "513a8443151b74bb521372ec7fd389842ce333302da46cee8ce9f26c05c75c4a"
 
+    def test_dense_width_stream_pinned(self):
+        # dense cuts, both modes: crowns on their circular decompositions, and
+        # convex graphs whose every N(b) is an interval of about |A|/2 on a
+        # shuffled path, on the convex construction and (small ones) on a
+        # random-order caterpillar
+        digest = hashlib.sha256()
+        cases = []
+        for n in range(2, 15):
+            g, w = gen_crown(n)
+            cases.append((g, decompose_circular(g, w)))
+        for a in range(4, 21):
+            for seed in range(3):
+                rng = random.Random(repr(("dense", a, seed)))
+                order = list(range(a))
+                rng.shuffle(order)
+                nbrs = []
+                for _ in range(a + seed):
+                    length = max(1, a // 2 + rng.randint(-1, 1))
+                    start = rng.randrange(a - length + 1)
+                    nbrs.append(frozenset(order[start : start + length]))
+                g = BipartiteGraph(a, len(nbrs), tuple(nbrs))
+                cases.append((g, decompose_convex(g, SupportWitness.from_order("path", order))))
+                if a <= 9:
+                    shuffled = list(range(g.n))
+                    rng.shuffle(shuffled)
+                    cases.append((g, caterpillar_from_ordering(shuffled)))
+        for g, d in cases:
+            for mode in ("mim", "sim"):
+                digest.update(repr(width_of(g, d, mode)).encode())
+        assert digest.hexdigest() == "9458bfb1c10a062d105fad872ff1cf4c4ae34fee6fdf68b8c463078771f1f0ef"
+
     def test_spine_deeper_than_recursion_limit(self):
         n = 1200
         assert n > sys.getrecursionlimit()
