@@ -170,49 +170,79 @@ def _max_independent_set(conflict: list[int], universe: int, floor: int = 0) -> 
     return chosen
 
 
-def _mim_pair(adj_masks, xmask: int, ymask: int, mode: str):
-    """_mim_of_cut of the disjoint vertex sets X and Y, their X-Y edges read
-    off the smaller side."""
+def _has_independent_set(conflict: list[int], k: int) -> bool:
+    """Has the conflict graph k pairwise non-conflicting vertices?  Sets are
+    grown in increasing vertex order on an explicit stack, at most k deep; a
+    set whose remaining candidates cannot fill it is dropped."""
+    stack = [((1 << len(conflict)) - 1, 0)]
+    while stack:
+        cand, size = stack.pop()
+        while size + cand.bit_count() >= k:
+            if size + 1 == k:
+                return True
+            low = cand & -cand
+            cand ^= low
+            rest = cand & ~conflict[low.bit_length() - 1]
+            if size + 1 + rest.bit_count() >= k:
+                stack.append((rest, size + 1))
+    return False
+
+
+def _conflicts(adj, cross, mode: str) -> list[int]:
+    """Conflict masks of the cross edges (x, y): bit j of entry i says edges
+    i and j cannot both be in the matching, as they share an end or an edge
+    joins them; a cross edge in mode "mim", any graph edge in mode "sim".
+    Entry i is other[x] | other[y], where other[v] ORs the cross edges at
+    v's neighbours (v's own edges among them: v neighbours their far ends)."""
+    inc: dict[int, int] = {}
+    for i, (x, y) in enumerate(cross):
+        inc[x] = inc.get(x, 0) | (1 << i)
+        inc[y] = inc.get(y, 0) | (1 << i)
+    other = dict.fromkeys(inc, 0)
+    if mode == "mim":
+        for x, y in cross:
+            other[x] |= inc[y]
+            other[y] |= inc[x]
+    else:
+        for v in other:
+            for w in adj[v]:
+                other[v] |= inc.get(w, 0)
+    return [(other[x] | other[y]) & ~(1 << i) for i, (x, y) in enumerate(cross)]
+
+
+def _cross(adj, xmask: int, ymask: int) -> list[tuple[int, int]]:
+    """The edges between the disjoint vertex sets X and Y, read off the
+    smaller side, as (x, y) pairs in sorted (min, max) order."""
     small, big = (xmask, ymask) if xmask.bit_count() <= ymask.bit_count() else (ymask, xmask)
-    cross = sorted((min(u, v), max(u, v)) for u in _bits(small) for v in _bits(adj_masks[u] & big))
-    return _mim_of_cut(adj_masks, cross, xmask, ymask, mode)
+    cross = sorted((min(u, v), max(u, v)) for u in _bits(small) for v in adj[u] if (big >> v) & 1)
+    return [(u, v) if (xmask >> u) & 1 else (v, u) for u, v in cross]
 
 
-def _mim_of_cut(adj_masks, cross, xmask: int, ymask: int, mode: str, floor: int = 0):
-    """Maximum induced matching between the disjoint vertex sets X and Y
-    whose X-Y edges are cross, sorted (min, max) pairs.
+def _mim_pair(adj, xmask: int, ymask: int, mode: str):
+    """_mim_of_cut of the disjoint vertex sets X and Y, given as bitmasks."""
+    return _mim_of_cut(adj, _cross(adj, xmask, ymask), mode)
 
-    mode "mim": the matching must be induced in the cut graph (only X-Y
+
+def _mim_of_cut(adj, cross, mode: str, floor: int = 0):
+    """Maximum induced matching over the cross edges (x, y) of a cut, x on
+    one side, in sorted (min, max) order; adj[v] is read in mode "sim" only.
+
+    mode "mim": the matching must be induced in the cut graph (only cross
     edges forbid pairs); mode "sim": induced in the whole graph.  Returns
-    (size, tuple of matching edges), exact when the size is above floor and
-    (0, ()) otherwise; floor 0 always gives the exact answer.  A matching
-    uses distinct cross edges and distinct endpoints on each side, so a cut
-    with at most floor of either is answered before any conflict graph.
+    (size, tuple of sorted matching edges), exact when the size is above
+    floor and (0, ()) otherwise; floor 0 always gives the exact answer.  A
+    matching uses distinct cross edges and distinct ends on each side, so a
+    cut with at most floor of either is answered before any conflict graph;
+    only a cut with floor + 1 compatible cross edges is searched exactly.
     """
     if len(cross) <= floor:
         return 0, ()
-    cross = [(u, v) if (xmask >> u) & 1 else (v, u) for u, v in cross]
-    if floor and (len({u for u, _ in cross}) <= floor or len({v for _, v in cross}) <= floor):
+    if floor and (len({x for x, _ in cross}) <= floor or len({y for _, y in cross}) <= floor):
         return 0, ()
-    m = len(cross)
-    inc: dict[int, int] = {}
-    for i, (u, v) in enumerate(cross):
-        inc[u] = inc.get(u, 0) | (1 << i)
-        inc[v] = inc.get(v, 0) | (1 << i)
-    both = xmask | ymask
-    conflict = []
-    for i, (u, v) in enumerate(cross):
-        c = inc[u] | inc[v]
-        if mode == "mim":
-            for w in _bits(adj_masks[u] & ymask):
-                c |= inc.get(w, 0)
-            for w in _bits(adj_masks[v] & xmask):
-                c |= inc.get(w, 0)
-        else:
-            for w in _bits((adj_masks[u] | adj_masks[v]) & both):
-                c |= inc.get(w, 0)
-        conflict.append(c & ~(1 << i))
-    sol = _max_independent_set(conflict, (1 << m) - 1, floor)
+    conflict = _conflicts(adj, cross, mode)
+    if floor and not _has_independent_set(conflict, floor + 1):
+        return 0, ()
+    sol = _max_independent_set(conflict, (1 << len(cross)) - 1, floor)
     witness = tuple(sorted((min(cross[i]), max(cross[i])) for i in _bits(sol)))
     return len(witness), witness
 
@@ -224,7 +254,7 @@ def max_induced_matching_cut(g: Graph, side) -> tuple[int, tuple]:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
         xmask |= 1 << v
-    return _mim_pair(g.adjacency_masks(), xmask, ((1 << g.n) - 1) & ~xmask, "mim")
+    return _mim_pair(g.adjacency(), xmask, ((1 << g.n) - 1) & ~xmask, "mim")
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +269,11 @@ def width_of(g: Graph | BipartiteGraph, d: BranchDecomposition, mode: str = "mim
     Returns (width, CutReport or None for edgeless trees).  Cost: one rooted
     pass over the tree; every graph edge is charged to the tree edges on the
     path between its ends' leaves, so listing all cut edges costs the total
-    size of the cuts; then per tree edge its side as a bitmask in O(1) and
-    one decision: does the cut beat the running maximum?  Only a cut that
-    does gets its exact value and witness (_mim_of_cut with floor = the
-    maximum so far); most cuts are answered from their edge and endpoint
-    counts, and the rest search from that floor.
+    size of the cuts, and a side is a preorder interval of leaves, so each
+    list is oriented in its own length.  Then one bounded decision per cut:
+    does it hold more compatible cross edges than the running maximum?  Only
+    a cut that does gets its exact value (_mim_of_cut with floor = the
+    maximum so far) and its side listed.  Memory is linear in the cuts.
     """
     if mode not in ("mim", "sim"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -251,39 +281,40 @@ def width_of(g: Graph | BipartiteGraph, d: BranchDecomposition, mode: str = "mim
     validate_decomposition(gg, d)
     if not d.tree.edges:
         return 0, None
-    adj_masks = gg.adjacency_masks()
+    adj = gg.adjacency() if mode == "sim" else None
     order, parent = preorder(d.tree.adjacency(), 0)
-    depth = [0] * d.tree.n
-    for x in order[1:]:
-        depth[x] = depth[parent[x]] + 1
-    # below[x]: the graph vertices on the leaves of x's subtree
-    below = [0] * d.tree.n
+    # x's subtree is order[tin[x] : tin[x] + size[x]]
+    tin = [0] * d.tree.n
+    for i, x in enumerate(order):
+        tin[x] = i
+    size = [1] * d.tree.n
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
     leaf_of = [0] * gg.n
     for node, v in d.leaf_map.items():
-        below[node] = 1 << v
         leaf_of[v] = node
-    for x in reversed(order[1:]):
-        below[parent[x]] |= below[x]
-    # cut[x]: the edges across the tree edge above x, in sorted order
+    pos = [tin[leaf_of[v]] for v in range(gg.n)]
+    # cut[x]: the edges across the tree edge above x, in sorted order; each
+    # end's leaf climbs until its subtree holds the other end's leaf
     cut = [[] for _ in range(d.tree.n)]
     for e in sorted(gg.edges):
-        x, y = leaf_of[e[0]], leaf_of[e[1]]
-        while x != y:
-            if depth[x] < depth[y]:
-                x, y = y, x
-            cut[x].append(e)
-            x = parent[x]
-    full = (1 << gg.n) - 1
+        for x, p in ((leaf_of[e[0]], pos[e[1]]), (leaf_of[e[1]], pos[e[0]])):
+            while not tin[x] <= p < tin[x] + size[x]:
+                cut[x].append(e)
+                x = parent[x]
     best = -1
     best_report = None
     for (u, v) in sorted(d.tree.edges):
         # the side of u: u's subtree when u is the child, else all but v's
         child = u if parent[u] == v else v
-        xmask = below[u] if child == u else full & ~below[v]
-        value, _ = _mim_of_cut(adj_masks, cut[child], xmask, full & ~xmask, mode, max(best, 0))
+        lo, hi = tin[child], tin[child] + size[child]
+        inside = child == u
+        cross = [(a, b) if (lo <= pos[a] < hi) == inside else (b, a) for a, b in cut[child]]
+        value, _ = _mim_of_cut(adj, cross, mode, max(best, 0))
         if value > best:
             best = value
-            best_report = CutReport((u, v), tuple(_bits(xmask)), value)
+            side = tuple(x for x in range(gg.n) if (lo <= pos[x] < hi) == inside)
+            best_report = CutReport((u, v), side, value)
     return best, best_report
 
 
@@ -312,10 +343,17 @@ def _min_width_over_trees(g: Graph, mode: str, guard: int):
     # no tree beats the trivial lower bound: 0 without edges, otherwise 1
     if bound == min(len(g.edges), 1):
         return bound, start
-    adj_masks = g.adjacency_masks()
+    adj = g.adjacency()
     full = (1 << n) - 1
     top = full >> 1
-    cut = [_mim_pair(adj_masks, s, full ^ s, mode)[0] for s in range(top + 1)]
+    # min(cut value, bound) of every set: raise k while k + 1 compatible cross edges exist
+    cut = []
+    for s in range(top + 1):
+        conflict = _conflicts(adj, _cross(adj, s, full ^ s), mode)
+        k = 0
+        while k < bound and _has_independent_set(conflict, k + 1):
+            k += 1
+        cut.append(k)
     # f[s] == bound: no tree on s stays below it; split[s]: the part of the
     # best split of s that holds its least vertex
     f = [bound] * (top + 1)
@@ -549,7 +587,7 @@ def decompose_tdelta(
     support is a support of every N(b) restricted to it.
     """
     _check_tree_witness(g, w)
-    masks = g.to_graph().adjacency_masks() if trace is not None else None
+    graph_adj = g.to_graph().adjacency() if trace is not None else None
 
     def split(adj, bs):
         # adj: the support restricted to the part's A vertices; bs: its B vertices, ascending
@@ -584,7 +622,7 @@ def decompose_tdelta(
         if trace is not None:
             # mim conflicts read only X-Y edges: the part's cut is read in g
             delta = max(map(len, adj.values()))
-            cut, _ = _mim_pair(masks, sum(1 << x for x in [*a1, *b1]), sum(1 << x for x in [*a2, *b2]), "mim")
+            cut, _ = _mim_pair(graph_adj, sum(1 << x for x in [*a1, *b1]), sum(1 << x for x in [*a2, *b2]), "mim")
             trace.append({"t": t, "delta": delta, "cut": cut, "bound": delta * (t - 1)})
         halves = ((a1, b1), (a2, b2))
         return _glue([split({x: adj[x] & side for x in side}, side_bs) for side, side_bs in halves])

@@ -189,6 +189,7 @@ class TestFloorContract:
             want = brute_max_independent_set(conflict, universe)
             exact = decomp._max_independent_set(conflict, universe)
             assert exact.bit_count() == want
+            assert [decomp._has_independent_set(conflict, k) for k in range(1, 8)] == [k <= want for k in range(1, 8)]
             for floor in range(5):
                 got = decomp._max_independent_set(conflict, universe, floor)
                 assert got & ~universe == 0
@@ -212,15 +213,16 @@ class TestFloorContract:
                 continue
             checked += 1
             xmask = sum(1 << v for v in side)
-            ymask = ((1 << n) - 1) & ~xmask
-            masks = g.adjacency_masks()
+            # the x end of every cross edge on side, in the scanned order
+            oriented = [(u, v) if (xmask >> u) & 1 else (v, u) for u, v in cross]
+            adj = g.adjacency()
             for mode in ("mim", "sim"):
                 want = brute_max_induced_matching(n, g.edges, side, mode)
-                exact = decomp._mim_of_cut(masks, cross, xmask, ymask, mode)
+                exact = decomp._mim_of_cut(adj, oriented, mode)
                 assert exact[0] == want == len(exact[1])
                 assert_induced_matching(g, side, exact[1], mode)
                 for floor in range(5):
-                    got = decomp._mim_of_cut(masks, cross, xmask, ymask, mode, floor)
+                    got = decomp._mim_of_cut(adj, oriented, mode, floor)
                     if want > floor:
                         assert got == exact
                     else:
@@ -277,9 +279,9 @@ class TestWidthOf:
         seen = []
         mim_of_cut = decomp._mim_of_cut
 
-        def recording(adj_masks, cross, xmask, ymask, mode, floor=0):
-            seen.append((list(cross), xmask))
-            return mim_of_cut(adj_masks, cross, xmask, ymask, mode, floor)
+        def recording(adj, cross, mode, floor=0):
+            seen.append(list(cross))
+            return mim_of_cut(adj, cross, mode, floor)
 
         monkeypatch.setattr(decomp, "_mim_of_cut", recording)
         rng = random.Random(59)
@@ -300,9 +302,10 @@ class TestWidthOf:
                 seen.clear()
                 width_of(g, d, mode)
                 assert len(seen) == len(d.tree.edges)
-                for cross, xmask in seen:
-                    side = [v for v in range(gg.n) if (xmask >> v) & 1]
-                    assert cross == scanned_cut_edges(gg.n, gg.edges, side)
+                for (u, v), cross in zip(sorted(d.tree.edges), seen):
+                    side = leaves_on_side(d, u, v)
+                    assert all(x in side for x, _ in cross)
+                    assert [(min(e), max(e)) for e in cross] == scanned_cut_edges(gg.n, gg.edges, side)
         assert root_is_leaf == {True, False}
 
     def test_width_stream_pinned(self):
@@ -366,6 +369,15 @@ class TestWidthOf:
         d = caterpillar_from_ordering(range(n))
         validate_decomposition(g, d)
         assert width_of(g, d)[0] == 1
+
+
+def leaves_on_side(d, u, v):
+    """The graph vertices on the leaves that u reaches without the tree edge (u, v)."""
+    adj = d.tree.adjacency()
+    seen, stack = {u, v}, [u]
+    while stack:
+        stack.extend(y for y in adj[stack.pop()] if y not in seen and not seen.add(y))
+    return {d.leaf_map[x] for x in seen - {v} if x in d.leaf_map}
 
 
 def random_subcubic_decomposition(rng, n):
