@@ -210,17 +210,16 @@ def _conflicts(adj, cross, mode: str) -> list[int]:
     return [(other[x] | other[y]) & ~(1 << i) for i, (x, y) in enumerate(cross)]
 
 
-def _cross(adj, xmask: int, ymask: int) -> list[tuple[int, int]]:
-    """The edges between the disjoint vertex sets X and Y, read off the
-    smaller side, as (x, y) pairs in sorted (min, max) order."""
-    small, big = (xmask, ymask) if xmask.bit_count() <= ymask.bit_count() else (ymask, xmask)
-    cross = sorted((min(u, v), max(u, v)) for u in _bits(small) for v in adj[u] if (big >> v) & 1)
-    return [(u, v) if (xmask >> u) & 1 else (v, u) for u, v in cross]
+def _cross(edges, xmask: int, ymask: int) -> list[tuple[int, int]]:
+    """The edges between the disjoint vertex sets X and Y, as (x, y) pairs
+    in the order of edges."""
+    return [(u, v) if (xmask >> u) & 1 else (v, u) for u, v in edges
+            if ((xmask >> u) & (ymask >> v) | (ymask >> u) & (xmask >> v)) & 1]
 
 
-def _mim_pair(adj, xmask: int, ymask: int, mode: str):
-    """_mim_of_cut of the disjoint vertex sets X and Y, given as bitmasks."""
-    return _mim_of_cut(adj, _cross(adj, xmask, ymask), mode)
+def _mim_pair(g: Graph, xmask: int, ymask: int, mode: str):
+    """_mim_of_cut of the disjoint vertex sets X and Y of g, given as bitmasks."""
+    return _mim_of_cut(g.adjacency(), _cross(sorted(g.edges), xmask, ymask), mode)
 
 
 def _mim_of_cut(adj, cross, mode: str, floor: int = 0):
@@ -254,7 +253,7 @@ def max_induced_matching_cut(g: Graph, side) -> tuple[int, tuple]:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
         xmask |= 1 << v
-    return _mim_pair(g.adjacency(), xmask, ((1 << g.n) - 1) & ~xmask, "mim")
+    return _mim_pair(g, xmask, ((1 << g.n) - 1) & ~xmask, "mim")
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +342,13 @@ def _min_width_over_trees(g: Graph, mode: str, guard: int):
     # no tree beats the trivial lower bound: 0 without edges, otherwise 1
     if bound == min(len(g.edges), 1):
         return bound, start
-    adj = g.adjacency()
+    adj, edges = g.adjacency(), sorted(g.edges)
     full = (1 << n) - 1
     top = full >> 1
     # min(cut value, bound) of every set: raise k while k + 1 compatible cross edges exist
     cut = []
     for s in range(top + 1):
-        conflict = _conflicts(adj, _cross(adj, s, full ^ s), mode)
+        conflict = _conflicts(adj, _cross(edges, s, full ^ s), mode)
         k = 0
         while k < bound and _has_independent_set(conflict, k + 1):
             k += 1
@@ -587,7 +586,7 @@ def decompose_tdelta(
     support is a support of every N(b) restricted to it.
     """
     _check_tree_witness(g, w)
-    graph_adj = g.to_graph().adjacency() if trace is not None else None
+    gg = g.to_graph() if trace is not None else None
 
     def split(adj, bs):
         # adj: the support restricted to the part's A vertices; bs: its B vertices, ascending
@@ -622,7 +621,7 @@ def decompose_tdelta(
         if trace is not None:
             # mim conflicts read only X-Y edges: the part's cut is read in g
             delta = max(map(len, adj.values()))
-            cut, _ = _mim_pair(graph_adj, sum(1 << x for x in [*a1, *b1]), sum(1 << x for x in [*a2, *b2]), "mim")
+            cut, _ = _mim_pair(gg, sum(1 << x for x in [*a1, *b1]), sum(1 << x for x in [*a2, *b2]), "mim")
             trace.append({"t": t, "delta": delta, "cut": cut, "bound": delta * (t - 1)})
         halves = ((a1, b1), (a2, b2))
         return _glue([split({x: adj[x] & side for x in side}, side_bs) for side, side_bs in halves])

@@ -734,7 +734,7 @@ def path_graph(n: int) -> Graph:
 def max_induced_matching_sim(g: Graph, side) -> tuple[int, tuple]:
     """As max_induced_matching_cut but the matching is induced in G itself."""
     xmask = sum(1 << v for v in set(side))
-    return _mim_pair(g.adjacency(), xmask, ((1 << g.n) - 1) & ~xmask, "sim")
+    return _mim_pair(g, xmask, ((1 << g.n) - 1) & ~xmask, "sim")
 
 
 def multijoin_bound(c: int, p: int, part_widths) -> int:

@@ -376,7 +376,9 @@ def leaves_on_side(d, u, v):
     adj = d.tree.adjacency()
     seen, stack = {u, v}, [u]
     while stack:
-        stack.extend(y for y in adj[stack.pop()] if y not in seen and not seen.add(y))
+        for y in adj[stack.pop()] - seen:
+            seen.add(y)
+            stack.append(y)
     return {d.leaf_map[x] for x in seen - {v} if x in d.leaf_map}
 
 
