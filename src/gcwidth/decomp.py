@@ -193,7 +193,8 @@ def _conflicts(adj, cross, mode: str) -> list[int]:
     i and j cannot both be in the matching, as they share an end or an edge
     joins them; a cross edge in mode "mim", any graph edge in mode "sim".
     Entry i is other[x] | other[y], where other[v] ORs the cross edges at
-    v's neighbours (v's own edges among them: v neighbours their far ends)."""
+    v's neighbours, across the cut in mode "mim" (v's own edges are among
+    them, as v neighbours their far ends)."""
     inc: dict[int, int] = {}
     for i, (x, y) in enumerate(cross):
         inc[x] = inc.get(x, 0) | (1 << i)
