@@ -363,7 +363,7 @@ def _min_width_over_trees(g: Graph, mode: str, guard: int):
         low = s & -s
         rest = sub = s ^ low
         if own >= bound or not rest:
-            f[s] = min(own, bound)
+            f[s] = own
             continue
         while sub:
             sub = (sub - 1) & rest
