@@ -371,6 +371,57 @@ class TestWidthOf:
         assert width_of(g, d)[0] == 1
 
 
+class TestValidateDecomposition:
+    # one fault per input, then inputs with two faults: each message and the
+    # order of the checks are pinned
+    CASES = [
+        ("empty tree", 0, Graph(0, frozenset()), {}, "empty decomposition tree"),
+        ("too few edges", 2, Graph.make(4, [(0, 1), (1, 2)]), {0: 0, 2: 1}, "decomposition tree is not a tree"),
+        ("too many edges", 3, Graph.make(3, [(0, 1), (1, 2), (0, 2)]), {}, "decomposition tree is not a tree"),
+        ("disconnected", 2, Graph.make(4, [(0, 1), (1, 2), (0, 2)]), {3: 0}, "decomposition tree is disconnected"),
+        ("degree 4", 4, Graph.make(5, [(0, i) for i in range(1, 5)]), {1: 0, 2: 1, 3: 2, 4: 3},
+         "internal node 0 has degree 4 > 3"),
+        ("internal key", 3, Graph.make(4, [(0, 1), (1, 2), (1, 3)]), {0: 0, 1: 1, 2: 2},
+         "leaf_map keys do not match tree leaves"),
+        ("leaf missing", 3, Graph.make(4, [(0, 1), (1, 2), (1, 3)]), {0: 0, 2: 1}, "leaf_map keys do not match tree leaves"),
+        ("key out of range", 3, Graph.make(4, [(0, 1), (1, 2), (1, 3)]), {0: 0, 2: 1, 9: 2},
+         "leaf_map keys do not match tree leaves"),
+        ("one node, wrong key", 1, Graph(1, frozenset()), {1: 0}, "leaf_map keys do not match tree leaves"),
+        ("repeated vertex", 3, Graph.make(4, [(0, 1), (1, 2), (1, 3)]), {0: 0, 2: 1, 3: 1},
+         "leaf_map is not a bijection onto the vertex set"),
+        ("vertex out of range", 3, Graph.make(4, [(0, 1), (1, 2), (1, 3)]), {0: 0, 2: 1, 3: 3},
+         "leaf_map is not a bijection onto the vertex set"),
+        ("too few vertices", 4, Graph.make(4, [(0, 1), (1, 2), (1, 3)]), {0: 0, 2: 1, 3: 2},
+         "leaf_map is not a bijection onto the vertex set"),
+        ("too few edges, disconnected", 2, Graph.make(5, [(0, 1), (2, 3)]), {0: 0, 4: 1},
+         "decomposition tree is not a tree"),
+        ("disconnected, degree 4", 4, Graph.make(8, [(0, i) for i in range(1, 5)] + [(5, 6), (6, 7), (5, 7)]),
+         {1: 0, 2: 1, 3: 2, 4: 3}, "decomposition tree is disconnected"),
+        ("disconnected, wrong keys", 2, Graph.make(5, [(0, 1), (1, 2), (0, 2), (3, 4)]), {0: 0, 3: 1},
+         "decomposition tree is disconnected"),
+        ("two nodes of degree 4", 6, Graph.make(10, [(0, 1), (0, 2), (0, 3), (0, 9), (9, 4), (9, 5), (9, 6), (9, 7), (9, 8)]),
+         {1: 0, 2: 1, 3: 2, 4: 3, 5: 4, 6: 5}, "internal node 0 has degree 4 > 3"),
+        ("degree 4, internal key", 4, Graph.make(5, [(0, i) for i in range(1, 5)]), {0: 0, 1: 1, 2: 2, 3: 3},
+         "internal node 0 has degree 4 > 3"),
+        ("wrong keys, repeated vertex", 3, Graph.make(4, [(0, 1), (1, 2), (1, 3)]), {0: 0, 1: 0, 2: 2},
+         "leaf_map keys do not match tree leaves"),
+    ]
+
+    @pytest.mark.parametrize("name, n, tree, leaf_map, message", CASES, ids=[c[0] for c in CASES])
+    def test_message(self, name, n, tree, leaf_map, message):
+        d = BranchDecomposition(tree, leaf_map)
+        with pytest.raises(ValueError) as exc:
+            validate_decomposition(Graph(n, frozenset()), d)
+        assert str(exc.value) == message
+
+    def test_valid_trees_pass(self):
+        rng = random.Random(29)
+        for d in [caterpillar_from_ordering([0]), caterpillar_from_ordering([1, 0])] + [
+            random_subcubic_decomposition(rng, n) for n in range(1, 12)
+        ]:
+            validate_decomposition(Graph(len(d.leaf_map), frozenset()), d)
+
+
 def leaves_on_side(d, u, v):
     """The graph vertices on the leaves that u reaches without the tree edge (u, v)."""
     adj = d.tree.adjacency()
