@@ -665,6 +665,37 @@ class TestGlueMultijoin:
         with pytest.raises(ValueError):
             glue_multijoin(g, [[0, 1], [1, 2]], [d0, d0])
 
+    def test_glued_trees_pinned(self):
+        # node ids, edges, leaf map and spine of glued trees: the spider and
+        # (t, delta) constructions, and multijoins of shuffled part trees with
+        # one-node parts among them.  Raw ids are hashed: the JSON form would
+        # hide ids renumbered in the same order
+        digest = hashlib.sha256()
+        decomps = []
+        for seed in range(40):
+            delta = 3 + seed % 3
+            a = delta + 2 + seed % 9
+            g, w = gen_random_hconvex("tree", a, a + seed % 4, seed, t=1, delta=delta)
+            decomps.append(decompose_spider(g, w))
+            t = 2 + seed % 3
+            g, w = gen_random_hconvex("tree", t * (delta - 1) + 2 + seed % 7, 12, seed, t=t, delta=delta)
+            decomps.append(decompose_tdelta(g, w))
+        rng = random.Random(2901)
+        for _ in range(60):
+            n = rng.randint(2, 16)
+            order = list(range(n))
+            rng.shuffle(order)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(4, n - 1))))
+            parts = [order[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+            part_decomps = []
+            for part in parts:
+                d = random_subcubic_decomposition(rng, len(part))
+                part_decomps.append(BranchDecomposition(d.tree, {x: part[v] for x, v in d.leaf_map.items()}))
+            decomps.append(glue_multijoin(random_graph(rng, n), parts, part_decomps))
+        for d in decomps:
+            digest.update(repr((d.tree.n, sorted(d.tree.edges), sorted(d.leaf_map.items()), d.spine)).encode())
+        assert digest.hexdigest() == "c8b4bcc4244376674abc6fc35a3663febf4e36c1845aebefbd1c16f83d8feab6"
+
 
 def spider_instance(delta, legs=2):
     # one branching vertex 0 with `delta` legs of `legs` path vertices
