@@ -29,12 +29,6 @@ class BranchDecomposition:
     linear: bool = False
     spine: tuple[int, ...] = ()
 
-    def leaves(self) -> set[int]:
-        if self.tree.n == 1:
-            return {0}
-        deg = self.tree.degree_sequence()
-        return {v for v in range(self.tree.n) if deg[v] == 1}
-
 
 @dataclasses.dataclass(frozen=True)
 class CutReport:
@@ -43,25 +37,31 @@ class CutReport:
     value: int
 
 
-def validate_decomposition(g: Graph | BipartiteGraph, d: BranchDecomposition) -> None:
-    """Raise ValueError unless d is a valid branch decomposition of g."""
-    n = g.n
+def validate_decomposition(g: Graph | BipartiteGraph, d: BranchDecomposition):
+    """Raise ValueError unless d is a valid branch decomposition of g.
+    Returns the tree's rooted walk (order, parent) = preorder(adjacency, 0)."""
     t = d.tree
     if t.n == 0:
         raise ValueError("empty decomposition tree")
     if len(t.edges) != t.n - 1:
         raise ValueError("decomposition tree is not a tree")
-    if len(preorder(t.adjacency(), 0)[0]) != t.n:
+    adj = t.adjacency()
+    # the leaves are the nodes of degree <= 1.  The leaf and bijection tests
+    # are decided before the walk, so that their lists are gone while it runs,
+    # and raised in their turn below
+    leaves_match = d.leaf_map.keys() == {v for v, nbrs in enumerate(adj) if len(nbrs) <= 1}
+    bijection = sorted(d.leaf_map.values()) == list(range(g.n))
+    order, parent = preorder(adj, 0)
+    if len(order) != t.n:
         raise ValueError("decomposition tree is disconnected")
-    leaves = d.leaves()
-    deg = t.degree_sequence()
-    for v in range(t.n):
-        if v not in leaves and deg[v] > 3:
-            raise ValueError(f"internal node {v} has degree {deg[v]} > 3")
-    if set(d.leaf_map) != leaves:
+    for v, nbrs in enumerate(adj):
+        if len(nbrs) > 3:
+            raise ValueError(f"internal node {v} has degree {len(nbrs)} > 3")
+    if not leaves_match:
         raise ValueError("leaf_map keys do not match tree leaves")
-    if sorted(d.leaf_map.values()) != list(range(n)):
+    if not bijection:
         raise ValueError("leaf_map is not a bijection onto the vertex set")
+    return order, parent
 
 
 def caterpillar_from_ordering(order) -> BranchDecomposition:
@@ -267,7 +267,7 @@ def width_of(g: Graph | BipartiteGraph, d: BranchDecomposition, mode: str = "mim
     Ties go to the first edge in canonical (sorted) tree-edge order.  All
     edges are included: leaf edges contribute at most 1.
     Returns (width, CutReport or None for edgeless trees).  Cost: one rooted
-    pass over the tree; every graph edge is charged to the tree edges on the
+    pass over the tree, the one validate_decomposition returns; every graph edge is charged to the tree edges on the
     path between its ends' leaves, so listing all cut edges costs the total
     size of the cuts, and a side is a preorder interval of leaves, so each
     list is oriented in its own length.  Then one bounded decision per cut:
@@ -278,11 +278,10 @@ def width_of(g: Graph | BipartiteGraph, d: BranchDecomposition, mode: str = "mim
     if mode not in ("mim", "sim"):
         raise ValueError(f"unknown mode {mode!r}")
     gg = g.to_graph()
-    validate_decomposition(gg, d)
+    order, parent = validate_decomposition(gg, d)
     if not d.tree.edges:
         return 0, None
     adj = gg.adjacency() if mode == "sim" else None
-    order, parent = preorder(d.tree.adjacency(), 0)
     # x's subtree is order[tin[x] : tin[x] + size[x]]
     tin = [0] * d.tree.n
     for i, x in enumerate(order):
@@ -489,29 +488,20 @@ def _glue(part_decomps) -> BranchDecomposition:
         return part_decomps[0]
     edges: list[tuple[int, int]] = [(i, i + 1) for i in range(p - 1)]
     leaf_map: dict[int, int] = {}
-    next_id = p
+    off = p
     for i, d in enumerate(part_decomps):
-        relabel = {}
-        for node in range(d.tree.n):
-            relabel[node] = next_id
-            next_id += 1
-        for u, v in sorted(d.tree.edges):
-            edges.append((min(relabel[u], relabel[v]), max(relabel[u], relabel[v])))
-        for leaf, vertex in d.leaf_map.items():
-            leaf_map[relabel[leaf]] = vertex
-        if d.tree.n == 1:
-            edges.append((i, relabel[0]))
+        # node x of the part becomes off + x; the hook follows the part's nodes
+        hook = min(d.tree.edges, default=None)
+        edges += [(off + u, off + v) for u, v in d.tree.edges if (u, v) != hook]
+        leaf_map.update((off + leaf, vertex) for leaf, vertex in d.leaf_map.items())
+        if hook is None:
+            edges.append((i, off))
+            off += 1
         else:
-            hu, hv = min(sorted(d.tree.edges))
-            hu, hv = relabel[hu], relabel[hv]
-            edges.remove((min(hu, hv), max(hu, hv)))
-            hook = next_id
-            next_id += 1
-            edges.append((min(hu, hook), max(hu, hook)))
-            edges.append((min(hv, hook), max(hv, hook)))
-            edges.append((i, hook))
-    tree = Graph.make(next_id, edges)
-    return BranchDecomposition(tree, leaf_map, False, ())
+            h = off + d.tree.n
+            edges += [(off + hook[0], h), (off + hook[1], h), (i, h)]
+            off = h + 1
+    return BranchDecomposition(Graph.make(off, edges), leaf_map, False, ())
 
 
 def _check_tree_witness(g: BipartiteGraph, w: SupportWitness) -> None:
