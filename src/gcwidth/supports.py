@@ -69,63 +69,54 @@ class SupportWitness:
 
     def path_order(self) -> tuple[int, ...]:
         """Vertex sequence of a path-shaped host, least endpoint first."""
-        if not _is_path(self):
+        adj = self.host_adjacency()
+        if not _is_path(self, adj):
             raise ValueError("host is not a path")
         if not self.vertices:
             return ()
-        adj = self.host_adjacency()
         return tuple(preorder(adj, min(v for v in self.vertices if len(adj[v]) <= 1))[0])
 
     def cycle_order(self) -> tuple[int, ...]:
         """Circular order of a cycle-shaped host from its least vertex
         toward that vertex's lesser neighbour."""
-        if not _is_cycle(self):
+        adj = self.host_adjacency()
+        if not _is_cycle(self, adj):
             raise ValueError("host is not a cycle")
         if not self.vertices:
             return ()
-        adj = {v: sorted(nbrs, reverse=True) for v, nbrs in self.host_adjacency().items()}
+        adj = {v: sorted(nbrs, reverse=True) for v, nbrs in adj.items()}
         return tuple(preorder(adj, min(adj))[0])
 
 
-def _tree_adjacency(w: SupportWitness) -> dict[int, set[int]] | None:
-    """The host adjacency if the host is a tree (n - 1 edges, one walk reaches all), else None."""
-    adj = w.host_adjacency()
+def _is_tree(w: SupportWitness, adj) -> bool:
+    """n - 1 edges, and one walk reaches every vertex.  Each shape test
+    takes adj, the host adjacency of w."""
     n = len(adj)
-    if n and (len(w.host_edges) != n - 1 or len(preorder(adj, w.vertices[0])[0]) != n):
-        return None
-    return adj
+    return not n or len(w.host_edges) == n - 1 and len(preorder(adj, w.vertices[0])[0]) == n
 
 
-def _is_tree(w: SupportWitness) -> bool:
-    return _tree_adjacency(w) is not None
+def _is_path(w: SupportWitness, adj) -> bool:
+    return _is_tree(w, adj) and all(len(nbrs) <= 2 for nbrs in adj.values())
 
 
-def _is_path(w: SupportWitness) -> bool:
-    adj = _tree_adjacency(w)
-    return adj is not None and all(len(nbrs) <= 2 for nbrs in adj.values())
-
-
-def _is_cycle(w: SupportWitness) -> bool:
+def _is_cycle(w: SupportWitness, adj) -> bool:
     # on one or two vertices the closed walk is a path (see from_order)
     n = len(w.vertices)
     if n <= 2:
-        return _is_tree(w)
-    adj = w.host_adjacency()
+        return _is_tree(w, adj)
     return all(len(nbrs) == 2 for nbrs in adj.values()) and len(preorder(adj, w.vertices[0])[0]) == n
 
 
-def _is_star(w: SupportWitness) -> bool:
+def _is_star(w: SupportWitness, adj) -> bool:
     # a tree with at most one non-leaf
-    adj = _tree_adjacency(w)
-    return adj is not None and sum(len(nbrs) >= 2 for nbrs in adj.values()) <= 1
+    return _is_tree(w, adj) and sum(len(nbrs) >= 2 for nbrs in adj.values()) <= 1
 
 
-def _is_comb(w: SupportWitness) -> bool:
+def _is_comb(w: SupportWitness, adj) -> bool:
     # backbone = non-leaves, a subtree once n >= 3; it must be a path and
     # every backbone vertex needs exactly one tooth
-    adj = _tree_adjacency(w)
     n = len(w.vertices)
-    if adj is None or n % 2 != 0:
+    if n % 2 != 0 or not _is_tree(w, adj):
         return False
     backbone = {v for v, nbrs in adj.items() if len(nbrs) >= 2}
     return n == 2 or len(backbone) == n // 2 and all(
@@ -156,9 +147,9 @@ def verify_support(g: BipartiteGraph, w: SupportWitness) -> bool:
     """
     if tuple(sorted(w.vertices)) != tuple(range(g.a_size)):
         raise ValueError("witness does not span the A side of the graph")
-    if not _SHAPE_TESTS[w.kind](w):
-        return False
     adj = w.host_adjacency()
+    if not _SHAPE_TESTS[w.kind](w, adj):
+        return False
     return all(sum(len(adj[v] & nb) for v in nb) >= 2 * len(nb) - 2 for nb in g.adj)
 
 

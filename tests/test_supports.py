@@ -177,7 +177,7 @@ class TestVerifySupport:
         digest = hashlib.sha256()
         count = 0
         for g, w in _shape_corpus(1200):
-            digest.update(repr((verify_support(g, w), _SHAPE_TESTS[w.kind](w))).encode())
+            digest.update(repr((verify_support(g, w), _SHAPE_TESTS[w.kind](w, w.host_adjacency()))).encode())
             count += 1
         assert count >= 5000
         assert digest.hexdigest() == "e6f795ac63ef5a44961561c15f783b9c1c47c9100bda1bbed80677b8a17361b4"
@@ -185,7 +185,7 @@ class TestVerifySupport:
     def test_agrees_with_connectivity_oracle(self):
         shaped = 0
         for g, w in _shape_corpus(1200):
-            if _SHAPE_TESTS[w.kind](w):
+            if _SHAPE_TESTS[w.kind](w, w.host_adjacency()):
                 shaped += 1
                 assert verify_support(g, w) == tree_connects_hyperedges(g.a_size, w.host_edges, g.adj)
         assert shaped >= 1000
