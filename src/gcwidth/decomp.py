@@ -37,7 +37,7 @@ class CutReport:
     value: int
 
 
-def validate_decomposition(g: Graph | BipartiteGraph, d: BranchDecomposition):
+def validate_decomposition(g: Graph | BipartiteGraph, d: BranchDecomposition) -> tuple[list[int], dict[int, int]]:
     """Raise ValueError unless d is a valid branch decomposition of g.
     Returns the tree's rooted walk (order, parent) = preorder(adjacency, 0)."""
     t = d.tree
