@@ -30,7 +30,7 @@ from gcwidth import (
 )
 from gcwidth import decomp
 from gcwidth.decomp import construction_bound, interleave, pthin_bound, thin_bound
-from gcwidth.graphs import GraphFormatError
+from gcwidth.graphs import GraphFormatError, preorder
 from gcwidth.families import gen_crown, gen_grid, gen_random_hconvex
 
 from oracles import (
@@ -414,12 +414,36 @@ class TestValidateDecomposition:
             validate_decomposition(Graph(n, frozenset()), d)
         assert str(exc.value) == message
 
-    def test_valid_trees_pass(self):
+    def test_valid_trees_return_their_walk(self):
         rng = random.Random(29)
         for d in [caterpillar_from_ordering([0]), caterpillar_from_ordering([1, 0])] + [
             random_subcubic_decomposition(rng, n) for n in range(1, 12)
         ]:
-            validate_decomposition(Graph(len(d.leaf_map), frozenset()), d)
+            walk = validate_decomposition(Graph(len(d.leaf_map), frozenset()), d)
+            assert walk == preorder(d.tree.adjacency(), 0)
+
+    def test_width_of_walks_the_tree_once(self, monkeypatch):
+        # one adjacency of the tree, shared by the validation and the measurement
+        g, w = gen_random_hconvex("tree", 30, 30, 5, t=3, delta=4)
+        d = decompose_tdelta(g, w)
+        calls = []
+
+        def counting(name):
+            real = getattr(Graph, name)
+
+            def call(self):
+                calls.append((name, self is d.tree))
+                return real(self)
+
+            monkeypatch.setattr(Graph, name, call)
+
+        counting("adjacency")
+        counting("degree_sequence")
+        width_of(g, d, "mim")
+        assert calls == [("adjacency", True)]
+        calls.clear()
+        width_of(g, d, "sim")
+        assert sorted(calls) == [("adjacency", False), ("adjacency", True)]
 
 
 def leaves_on_side(d, u, v):
