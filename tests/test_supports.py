@@ -235,6 +235,14 @@ class TestTreeSupportDegreeBounded:
         edges = tree_support_degree_bounded(4, hyperedges, 1, 3)
         assert edges == frozenset({(0, 1), (0, 2), (0, 3)})
 
+    def test_tiny_ground_sets(self):
+        # n = 1 is the one-vertex tree, and for n >= 2 the spanning target is open at the root
+        for t, delta in ((0, 2), (1, 3)):
+            assert tree_support_degree_bounded(1, (), t, delta) == frozenset()
+            assert tree_support_degree_bounded(2, (), t, delta) == {(0, 1)}
+            assert tree_support_degree_bounded(2, (frozenset({0, 1}),), t, delta) == {(0, 1)}
+            assert tree_support_degree_bounded(3, (frozenset({0}),), t, delta) == {(0, 1), (0, 2)}
+
     def test_agrees_with_exhaustive(self):
         rng = random.Random(3)
         for _ in range(40):
