@@ -192,8 +192,8 @@ def _random_degree_constrained_tree(rng, n, t, delta):
 
 
 def _random_connected_subset(rng, adj: dict[int, set[int]], vertices) -> frozenset[int]:
-    # grow from a uniform start; stop with probability 1/2 per step
-    current = {rng.choice(sorted(vertices))}
+    # grow from a uniform start in the sorted `vertices`; stop with probability 1/2 per step
+    current = {rng.choice(vertices)}
     while rng.random() < 0.5:
         frontier = sorted(set().union(*(adj[v] for v in current)) - current)
         if not frontier:
