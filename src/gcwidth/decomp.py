@@ -100,19 +100,15 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _max_independent_set(conflict: list[int], universe: int, floor: int = 0) -> int:
-    """MIS of the conflict graph on universe, as a bitmask: exact when its
-    size is above floor, otherwise 0 (floor 0 always gives the exact set).
+def _max_independent_set(conflict: list[int]) -> int:
+    """Maximum independent set of the conflict graph, as a bitmask.
 
     Each connected component is solved in turn by include/exclude branching
     on a maximum-conflict pivot with the trivial remaining-count bound,
-    which is effective because conflict graphs of small cuts are dense.  A
-    component must beat floor minus the sets chosen so far and the vertex
-    counts of the components still to come, or the total cannot pass floor;
-    the search starts its incumbent there.
+    which is effective because conflict graphs of small cuts are dense.
     """
     comps = []
-    remaining = universe
+    remaining = (1 << len(conflict)) - 1
     while remaining:
         start = remaining & -remaining
         comp = start
@@ -127,13 +123,8 @@ def _max_independent_set(conflict: list[int], universe: int, floor: int = 0) -> 
         comps.append(comp)
 
     chosen = 0
-    later = universe.bit_count()
     for comp in comps:
-        later -= comp.bit_count()
-        need = floor - chosen.bit_count() - later
-        if need >= comp.bit_count():
-            return 0
-        best_size = max(need, 0)
+        best_size = 0
         best_mask = 0
 
         def solve(cand, cur_mask, cur_size):
@@ -164,8 +155,6 @@ def _max_independent_set(conflict: list[int], universe: int, floor: int = 0) -> 
                 best_mask = cur_mask
 
         solve(comp, 0, 0)
-        if not best_mask:
-            return 0
         chosen |= best_mask
     return chosen
 
@@ -229,20 +218,18 @@ def _mim_of_cut(adj, cross, mode: str, floor: int = 0):
 
     mode "mim": the matching must be induced in the cut graph (only cross
     edges forbid pairs); mode "sim": induced in the whole graph.  Returns
-    (size, tuple of sorted matching edges), exact when the size is above
-    floor and (0, ()) otherwise; floor 0 always gives the exact answer.  A
-    matching uses distinct cross edges and distinct ends on each side, so a
-    cut with at most floor of either is answered before any conflict graph;
-    only a cut with floor + 1 compatible cross edges is searched exactly.
+    (size, tuple of sorted matching edges) when the size is above floor,
+    and (0, ()) otherwise.  A matching uses distinct cross edges and
+    distinct ends on each side, so a cut with at most floor of either is
+    answered first; only a cut with floor + 1 compatible cross edges gets
+    the exact search.
     """
-    if len(cross) <= floor:
-        return 0, ()
-    if floor and (len({x for x, _ in cross}) <= floor or len({y for _, y in cross}) <= floor):
+    if len(cross) <= floor or len({x for x, _ in cross}) <= floor or len({y for _, y in cross}) <= floor:
         return 0, ()
     conflict = _conflicts(adj, cross, mode)
-    if floor and not _has_independent_set(conflict, floor + 1):
+    if not _has_independent_set(conflict, floor + 1):
         return 0, ()
-    sol = _max_independent_set(conflict, (1 << len(cross)) - 1, floor)
+    sol = _max_independent_set(conflict)
     witness = tuple(sorted((min(cross[i]), max(cross[i])) for i in _bits(sol)))
     return len(witness), witness
 
@@ -267,13 +254,13 @@ def width_of(g: Graph | BipartiteGraph, d: BranchDecomposition, mode: str = "mim
     Ties go to the first edge in canonical (sorted) tree-edge order.  All
     edges are included: leaf edges contribute at most 1.
     Returns (width, CutReport or None for edgeless trees).  Cost: one rooted
-    pass over the tree, the one validate_decomposition returns; every graph edge is charged to the tree edges on the
-    path between its ends' leaves, so listing all cut edges costs the total
-    size of the cuts, and a side is a preorder interval of leaves, so each
-    list is oriented in its own length.  Then one bounded decision per cut:
-    does it hold more compatible cross edges than the running maximum?  Only
-    a cut that does gets its exact value (_mim_of_cut with floor = the
-    maximum so far) and its side listed.  Memory is linear in the cuts.
+    pass over the tree, the one validate_decomposition returns; every graph
+    edge is charged to the tree edges on the path between its ends' leaves,
+    so listing all cut edges costs the total size of the cuts, and a side is
+    a preorder interval of leaves, so each list is oriented in its own
+    length.  Then _mim_of_cut with floor = the maximum so far decides each
+    cut: only a cut with more compatible cross edges than that gets its
+    exact value and its side listed.  Memory is linear in the cuts.
     """
     if mode not in ("mim", "sim"):
         raise ValueError(f"unknown mode {mode!r}")

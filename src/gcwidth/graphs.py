@@ -54,16 +54,6 @@ class Graph:
             masks[v] |= 1 << u
         return masks
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
-    def degree_sequence(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
 
 @dataclasses.dataclass(frozen=True)
 class BipartiteGraph:
@@ -90,9 +80,6 @@ class BipartiteGraph:
     @property
     def n(self) -> int:
         return self.a_size + self.b_size
-
-    def edge_count(self) -> int:
-        return sum(len(nb) for nb in self.adj)
 
     def to_graph(self) -> Graph:
         edges = set()

@@ -50,22 +50,13 @@ class SupportWitness:
             adj[v].add(u)
         return adj
 
-    def degrees(self) -> dict[int, int]:
-        deg = {v: 0 for v in self.vertices}
-        for u, v in self.host_edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
     @property
     def branching(self) -> tuple[int, ...]:
-        deg = self.degrees()
-        return tuple(sorted(v for v, d in deg.items() if d >= 3))
+        return tuple(sorted(v for v, nbrs in self.host_adjacency().items() if len(nbrs) >= 3))
 
     @property
     def max_degree(self) -> int:
-        deg = self.degrees()
-        return max(deg.values(), default=0)
+        return max(map(len, self.host_adjacency().values()), default=0)
 
     def path_order(self) -> tuple[int, ...]:
         """Vertex sequence of a path-shaped host, least endpoint first."""
@@ -293,9 +284,8 @@ def tree_support_degree_bounded(n: int, hyperedges, t: int, delta: int) -> froze
 
     # no vertex branches below degree 3, and at most n vertices branch
     for budget in range(min(t, n if delta >= 3 else 0) + 1):
+        # the spanning target is open at the root: n = 1 took the unique-support return
         index, comp = first_open(0)
-        if index == len(targets):
-            return frozenset()
         stack = [(index, options(targets[index], comp))]
         while stack:
             index, todo = stack[-1]

@@ -71,7 +71,7 @@ class TestCaterpillar:
         d = caterpillar_from_ordering([0, 1, 2, 3])
         assert d.tree.n == 8
         assert d.spine == (0, 1, 2, 3)
-        deg = d.tree.degree_sequence()
+        deg = list(map(len, d.tree.adjacency()))
         assert sorted(deg) == [1, 1, 1, 1, 2, 2, 3, 3]
 
     def test_leaf_count_is_length(self):
@@ -163,11 +163,10 @@ def assert_induced_matching(g, side, matching, mode):
 
 
 class TestFloorContract:
-    # exact when the answer is above floor, at most floor otherwise; floor 0 is the exact answer
+    # _mim_of_cut is exact when the answer is above floor, (0, ()) otherwise; floor 0 is the exact answer
 
     def test_max_independent_set(self):
         rng = random.Random(67)
-        pruned = 0
         for _ in range(300):
             # 1-4 connected blocks on shuffled vertex ids: a random spanning tree plus random chords
             blocks = rng.randint(1, 4)
@@ -187,19 +186,11 @@ class TestFloorContract:
                         conflict[v] |= 1 << u
             universe = (1 << len(ids)) - 1
             want = brute_max_independent_set(conflict, universe)
-            exact = decomp._max_independent_set(conflict, universe)
+            exact = decomp._max_independent_set(conflict)
             assert exact.bit_count() == want
+            assert exact & ~universe == 0
+            assert not any(conflict[v] & exact for v in range(len(ids)) if (exact >> v) & 1)
             assert [decomp._has_independent_set(conflict, k) for k in range(1, 8)] == [k <= want for k in range(1, 8)]
-            for floor in range(5):
-                got = decomp._max_independent_set(conflict, universe, floor)
-                assert got & ~universe == 0
-                assert not any(conflict[v] & got for v in range(len(ids)) if (got >> v) & 1)
-                if want > floor:
-                    assert got == exact
-                else:
-                    assert got.bit_count() <= floor
-                    pruned += len(sizes) > 1
-        assert pruned > 0
 
     def test_mim_of_cut(self):
         rng = random.Random(71)
@@ -223,10 +214,7 @@ class TestFloorContract:
                 assert_induced_matching(g, side, exact[1], mode)
                 for floor in range(5):
                     got = decomp._mim_of_cut(adj, oriented, mode, floor)
-                    if want > floor:
-                        assert got == exact
-                    else:
-                        assert got[0] <= floor
+                    assert got == (exact if want > floor else (0, ()))
 
 
 class TestWidthOf:
@@ -438,12 +426,24 @@ class TestValidateDecomposition:
             monkeypatch.setattr(Graph, name, call)
 
         counting("adjacency")
-        counting("degree_sequence")
         width_of(g, d, "mim")
         assert calls == [("adjacency", True)]
         calls.clear()
         width_of(g, d, "sim")
         assert sorted(calls) == [("adjacency", False), ("adjacency", True)]
+
+    def test_exact_search_only_on_improving_cuts(self, monkeypatch):
+        # every exact search raises the running maximum, so there are at most width of them
+        real = decomp._max_independent_set
+        calls = []
+        monkeypatch.setattr(decomp, "_max_independent_set", lambda *args: calls.append(args) or real(*args))
+        crown, cycle = gen_crown(20)
+        tree, host = gen_random_hconvex("tree", 67, 67, 1, t=4, delta=4)
+        for g, d in ((crown, decompose_circular(crown, cycle)), (tree, decompose_tdelta(tree, host))):
+            for mode in ("mim", "sim"):
+                calls.clear()
+                width, _ = width_of(g, d, mode)
+                assert 0 < len(calls) <= width
 
 
 def leaves_on_side(d, u, v):
@@ -841,8 +841,8 @@ def reference_tdelta(g, w, trace, split_degrees, spider=decompose_spider):
     if t <= 1:
         return spider(g, w)
     (u, v), a1, a2 = tdelta_split(w.vertices, w.host_edges)
-    deg = w.degrees()
-    split_degrees.update((deg[u], deg[v]))
+    adj = w.host_adjacency()
+    split_degrees.update((len(adj[u]), len(adj[v])))
     b1 = [g.a_size + j for j, nb in enumerate(g.adj) if nb & a1]
     b2 = [g.a_size + j for j, nb in enumerate(g.adj) if not (nb & a1)]
     x1, x2 = sorted(a1) + b1, sorted(a2) + b2

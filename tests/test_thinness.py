@@ -328,7 +328,7 @@ class TestPathdecompToPthin:
         assert r.class_count() <= 4  # 2^1 * 2
         assert verify_strongly_consistent(g, r)
         assert all(
-            not any(g.has_edge(u, v) for u in c for v in c if u < v) for c in r.classes
+            not any((u, v) in g.edges for u in c for v in c if u < v) for c in r.classes
         )
 
     def test_edgeless_single_bag(self):
