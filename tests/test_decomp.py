@@ -358,6 +358,19 @@ class TestWidthOf:
         validate_decomposition(g, d)
         assert width_of(g, d)[0] == 1
 
+    def test_exact_search_only_on_improving_cuts(self, monkeypatch):
+        # every exact search raises the running maximum, so there are at most width of them
+        real = decomp._max_independent_set
+        calls = []
+        monkeypatch.setattr(decomp, "_max_independent_set", lambda *args: calls.append(args) or real(*args))
+        crown, cycle = gen_crown(20)
+        tree, host = gen_random_hconvex("tree", 67, 67, 1, t=4, delta=4)
+        for g, d in ((crown, decompose_circular(crown, cycle)), (tree, decompose_tdelta(tree, host))):
+            for mode in ("mim", "sim"):
+                calls.clear()
+                width, _ = width_of(g, d, mode)
+                assert 0 < len(calls) <= width
+
 
 class TestValidateDecomposition:
     # one fault per input, then inputs with two faults: each message and the
@@ -431,19 +444,6 @@ class TestValidateDecomposition:
         calls.clear()
         width_of(g, d, "sim")
         assert sorted(calls) == [("adjacency", False), ("adjacency", True)]
-
-    def test_exact_search_only_on_improving_cuts(self, monkeypatch):
-        # every exact search raises the running maximum, so there are at most width of them
-        real = decomp._max_independent_set
-        calls = []
-        monkeypatch.setattr(decomp, "_max_independent_set", lambda *args: calls.append(args) or real(*args))
-        crown, cycle = gen_crown(20)
-        tree, host = gen_random_hconvex("tree", 67, 67, 1, t=4, delta=4)
-        for g, d in ((crown, decompose_circular(crown, cycle)), (tree, decompose_tdelta(tree, host))):
-            for mode in ("mim", "sim"):
-                calls.clear()
-                width, _ = width_of(g, d, mode)
-                assert 0 < len(calls) <= width
 
 
 def leaves_on_side(d, u, v):
